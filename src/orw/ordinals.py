@@ -132,9 +132,6 @@ class Ordinal:
 
     # -- comparison --------------------------------------------------------
 
-    def _key(self):
-        return self.terms
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Ordinal) and self.terms == other.terms
 
@@ -517,10 +514,6 @@ def classify(gamma: Ordinal, alpha: Ordinal) -> NodeClassId:
     return NodeClassId(cnf_index(gamma, alpha), alpha.cb_rank())
 
 
-def class_exponents(gamma: Ordinal) -> list[int]:
-    return expansion(gamma)
-
-
 def is_valid_class(gamma: Ordinal, cid: NodeClassId) -> bool:
     """True iff the class is nonempty as a subset of [0, gamma)."""
     exps = expansion(gamma)
@@ -558,11 +551,6 @@ def class_size(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
     if i == len(exps) and j == exps[i - 1]:
         return bonus  # top point is gamma itself, excluded
     return 1 + bonus
-
-
-def class_top(gamma: Ordinal, index: int) -> Ordinal:
-    """The largest point of component `index`: the index-th partial sum."""
-    return partial_sum(gamma, index)
 
 
 def node_class(gamma: Ordinal, cid: NodeClassId) -> BoundedEnumeration:

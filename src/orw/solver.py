@@ -4,10 +4,12 @@ Variables are positive integers; a literal is a signed integer; a clause is a
 tuple of literals.  The solver does unit propagation with two-literal
 watching, branches on the first unassigned variable of a fixed order with
 false tried first, and learns a clause at every conflict, so identical
-inputs explore identical search trees.  Every learned clause is derived by
-logged resolution steps from the input clauses, and unsatisfiable runs end
-with a derivation of the empty clause that an independent checker replays;
-satisfiable runs return a total model.  Exceeding the decision budget
+inputs explore identical search trees.  Unsatisfiable runs end with a
+resolution trace whose steps name premises, not clauses: an axiom cites an
+input clause, a resolution two earlier steps and a pivot variable.  An
+independent checker derives every clause from what its step cites, as in
+Goldberg & Novikov (DATE 2003), and requires the final one to be empty.
+Satisfiable runs return a total model.  Exceeding the decision budget
 raises, keeping resource exhaustion distinct from either answer.
 """
 
@@ -23,7 +25,6 @@ __all__ = [
     "TraceStep",
     "check_trace",
     "solve",
-    "truth_table_status",
 ]
 
 
@@ -40,7 +41,6 @@ class TraceStep(NamedTuple):
     left: int  # clause index (axiom) or step index (resolve)
     right: int  # -1 (axiom) or step index (resolve)
     pivot: int  # 0 (axiom) or the resolved variable
-    clause: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,12 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             raise ValueError(f"literal out of range in clause {c}")
     order = list(range(1, num_vars + 1)) if order is None else list(order)
 
-    assign = [0] * (num_vars + 1)  # 0 unassigned, +1 true, -1 false
+    # lists indexed by a signed literal have 2*num_vars+1 slots, so that
+    # negative indexing gives -v a slot of its own
+    value = [0] * (2 * num_vars + 1)  # +1 true, -1 false, 0 unassigned
     reason: list[Optional[int]] = [None] * (num_vars + 1)
     level = [0] * (num_vars + 1)
+    seen = [False] * (num_vars + 1)  # variables of the running resolvent
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
     qhead = 0
@@ -83,40 +86,31 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         got = axiom_of.get(ci)
         if got is None:
             got = len(steps)
-            steps.append(TraceStep("axiom", ci, -1, 0, frozenset(cls[ci])))
+            steps.append(TraceStep("axiom", ci, -1, 0))
             axiom_of[ci] = got
         return got
 
     def step_of(ci: int) -> int:
         return axiom(ci) if ci < n_orig else learned_step[ci]
 
-    def resolve(pos_step: int, neg_step: int, var: int) -> int:
-        merged = ((steps[pos_step].clause - {var})
-                  | (steps[neg_step].clause - {-var}))
-        steps.append(TraceStep("resolve", pos_step, neg_step, var,
-                               frozenset(merged)))
-        return len(steps) - 1
-
-    def val(lit: int) -> int:
-        return assign[lit] if lit > 0 else -assign[-lit]
-
     def set_lit(lit: int, why: Optional[int]) -> None:
-        var = abs(lit)
-        assign[var] = 1 if lit > 0 else -1
-        reason[var] = why
-        level[var] = len(trail_lim)
+        value[lit] = 1
+        value[-lit] = -1
+        reason[abs(lit)] = why
+        level[abs(lit)] = len(trail_lim)
         trail.append(lit)
 
     # two-literal watching; watches are not repaired on backtrack
     watch_lits: list[list[int]] = []
-    watches: dict[int, list[int]] = {}
+    watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
 
     def attach(ci: int) -> None:
         c = cls[ci]
         pair = [c[0], c[1] if len(c) > 1 else c[0]]
         watch_lits.append(pair)
-        for lit in set(pair):
-            watches.setdefault(lit, []).append(ci)
+        watches[pair[0]].append(ci)
+        if pair[1] != pair[0]:
+            watches[pair[1]].append(ci)
 
     for ci, c in enumerate(cls):
         if not c:
@@ -126,82 +120,93 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 
     def propagate() -> Optional[int]:
         nonlocal qhead
-        asg = assign
-        wmap = watches
+        val = value
+        wlists = watches
         wpairs = watch_lits
+        lvl = len(trail_lim)
         while qhead < len(trail):
             flit = -trail[qhead]
             qhead += 1
-            wl = wmap.get(flit)
-            if not wl:
-                continue
+            wl = wlists[flit]
             i = 0
             while i < len(wl):
                 ci = wl[i]
-                a, b = wpairs[ci]
-                other = b if a == flit else a
+                pair = wpairs[ci]
+                other = pair[1] if pair[0] == flit else pair[0]
                 if other == flit:
                     return ci  # unit clause just falsified
-                ov = asg[other] if other > 0 else -asg[-other]
+                ov = val[other]
                 if ov == 1:
                     i += 1
                     continue
-                moved = False
                 for lit2 in cls[ci]:
-                    if lit2 != other and lit2 != flit and (
-                            asg[lit2] if lit2 > 0 else -asg[-lit2]) >= 0:
-                        wpairs[ci] = [other, lit2]
-                        wmap.setdefault(lit2, []).append(ci)
+                    if lit2 != other and lit2 != flit and val[lit2] >= 0:
+                        pair[0] = other
+                        pair[1] = lit2
+                        wlists[lit2].append(ci)
                         wl[i] = wl[-1]
                         wl.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if ov == 0:
-                    set_lit(other, ci)
-                    i += 1
                 else:
-                    return ci
+                    if ov:
+                        return ci
+                    val[other] = 1
+                    val[-other] = -1
+                    var = abs(other)
+                    reason[var] = ci
+                    level[var] = lvl
+                    trail.append(other)
+                    i += 1
         return None
 
-    def resolve_to_empty(sid: int) -> int:
-        # at decision level 0 every trail literal has a reason clause
-        for lit in reversed(trail):
-            if -lit in steps[sid].clause:
-                rstep = step_of(reason[abs(lit)])
-                if lit > 0:
-                    sid = resolve(rstep, sid, lit)
-                else:
-                    sid = resolve(sid, rstep, -lit)
-        assert not steps[sid].clause
-        return sid
-
-    def analyze(conf_ci: int) -> tuple[frozenset[int], int, int, int]:
-        # derive a clause with a single current-level literal (first UIP)
+    def derive(ci: int) -> tuple[int, list[int], int]:
+        # resolve clause ci with reason clauses, walking the trail back, to
+        # the first UIP (one current-level literal left) or, at decision
+        # level 0, to the empty clause.  The running resolvent is its count
+        # of current-level literals plus its lower-level literals, all of
+        # them false and marked in `seen`.
         cur = len(trail_lim)
-        sid = step_of(conf_ci)
-        cset = steps[sid].clause
-        idx = len(trail) - 1
-        while True:
-            cur_lits = [l for l in cset if level[abs(l)] == cur]
-            if len(cur_lits) <= 1:
-                uip = cur_lits[0]
-                break
-            while True:
-                lit = trail[idx]
-                idx -= 1
-                if (-lit in cset and level[abs(lit)] == cur
-                        and reason[abs(lit)] is not None):
-                    break
-            rstep = step_of(reason[abs(lit)])
-            if lit > 0:
-                sid = resolve(rstep, sid, lit)
+        sid = step_of(ci)
+        lower: list[int] = []
+        at_cur = uip = 0
+        for l in cls[ci]:
+            seen[abs(l)] = True
+            if level[abs(l)] == cur:
+                at_cur += 1
             else:
-                sid = resolve(sid, rstep, -lit)
-            cset = steps[sid].clause
-        bj = max((level[abs(l)] for l in cset if l != uip), default=0)
-        return cset, sid, bj, uip
+                lower.append(l)
+        idx = len(trail) - 1
+        while at_cur:
+            lit = trail[idx]
+            idx -= 1
+            var = abs(lit)
+            if not seen[var] or level[var] != cur:
+                continue
+            if at_cur == 1 and cur:
+                uip = -lit
+                seen[var] = False
+                break
+            # the decision is reached only as the last current-level
+            # literal, so var has a reason clause, and it holds lit
+            rstep = step_of(reason[var])
+            if lit > 0:
+                steps.append(TraceStep("resolve", rstep, sid, lit))
+            else:
+                steps.append(TraceStep("resolve", sid, rstep, -lit))
+            sid = len(steps) - 1
+            for l in cls[reason[var]]:
+                v2 = abs(l)
+                if l != lit and not seen[v2]:
+                    seen[v2] = True
+                    if level[v2] == cur:
+                        at_cur += 1
+                    else:
+                        lower.append(l)
+            seen[var] = False
+            at_cur -= 1
+        for l in lower:
+            seen[abs(l)] = False
+        return sid, lower, uip
 
     pos_of = [0] * (num_vars + 1)
     for p, v in enumerate(order):
@@ -212,8 +217,9 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         mark = trail_lim[bj]
         mn = len(order)
         for lit in trail[mark:]:
+            value[lit] = 0
+            value[-lit] = 0
             var = abs(lit)
-            assign[var] = 0
             reason[var] = None
             if pos_of[var] < mn:
                 mn = pos_of[var]
@@ -226,27 +232,26 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     for ci, c in enumerate(cls):
         if len(c) == 1:
             lit = c[0]
-            if val(lit) == -1:
-                sid = resolve_to_empty(axiom(ci))
+            if value[lit] == -1:
+                sid = derive(ci)[0]
                 return SolveResult("unsat", None, Trace(tuple(steps), sid), 0)
-            if val(lit) == 0:
+            if value[lit] == 0:
                 set_lit(lit, ci)
 
     head = 0
     while True:
         conf = propagate()
         if conf is not None:
+            sid, lower, uip = derive(conf)
             if not trail_lim:
-                sid = resolve_to_empty(step_of(conf))
                 return SolveResult("unsat", None, Trace(tuple(steps), sid),
                                    nodes)
-            cset, sid, bj, uip = analyze(conf)
+            bj = max((level[abs(l)] for l in lower), default=0)
             ci = len(cls)
             # put the asserting literal first, then a deepest-level literal,
             # so the stale-watch invariant holds after the jump back
-            rest = sorted((l for l in cset if l != uip),
-                          key=lambda l: (-level[abs(l)], abs(l)))
-            cls.append(tuple([uip] + rest))
+            lower.sort(key=lambda l: (-level[abs(l)], abs(l)))
+            cls.append(tuple([uip] + lower))
             learned_step[ci] = sid
             attach(ci)
             freed = backjump(bj)
@@ -254,10 +259,10 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             if freed < head:
                 head = freed
             continue
-        while head < len(order) and assign[order[head]] != 0:
+        while head < len(order) and value[order[head]] != 0:
             head += 1
         if head == len(order):
-            model = {v: assign[v] == 1 for v in range(1, num_vars + 1)}
+            model = {v: value[v] == 1 for v in range(1, num_vars + 1)}
             return SolveResult("sat", model, None, nodes)
         nodes += 1
         if nodes > budget:
@@ -267,60 +272,39 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 
 
 def check_trace(clauses: Sequence[Sequence[int]], trace: Trace) -> bool:
-    """Independently replay a refutation: every step must be a legal axiom
-    citation or resolution, and the final step must be the empty clause."""
+    """Independently replay a refutation: an axiom must cite an input
+    clause, a resolution two earlier steps holding the pivot and its
+    negation, and the final step must derive the empty clause.  Each
+    derived clause is dropped after its last use, found in a first pass."""
     steps = trace.steps
+    final = trace.final
+    if not (0 <= final < len(steps)):
+        return False
+    last_use = [-1] * len(steps)
     for idx, st in enumerate(steps):
         if st.kind == "axiom":
             if not (0 <= st.left < len(clauses)):
                 return False
-            if st.clause != frozenset(clauses[st.left]):
-                return False
         elif st.kind == "resolve":
             if not (0 <= st.left < idx and 0 <= st.right < idx):
                 return False
-            a, b, v = steps[st.left].clause, steps[st.right].clause, st.pivot
-            if v <= 0 or v not in a or -v not in b:
-                return False
-            if st.clause != (a - {v}) | (b - {-v}):
-                return False
+            last_use[st.left] = last_use[st.right] = idx
         else:
             return False
-    if not (0 <= trace.final < len(steps)):
-        return False
-    return not steps[trace.final].clause
-
-
-def truth_table_status(clauses: Sequence[Sequence[int]],
-                       num_vars: int) -> tuple[str, Optional[dict[int, bool]]]:
-    """Exhaustive enumeration oracle for small systems.
-
-    All 2^num_vars assignments are evaluated at once, bit-parallel: one big
-    integer holds a clause's truth column, bit m being its value under the
-    assignment whose variable v reads bit (m >> (v-1)) & 1.  The model
-    returned for satisfiable systems is the one with the smallest such m.
-    """
-    if num_vars > 24:
-        raise ValueError("truth-table oracle is limited to 24 variables")
-    size = 1 << num_vars
-    ones = (1 << size) - 1
-    col = [0] * (num_vars + 1)
-    for v in range(1, num_vars + 1):
-        half = 1 << (v - 1)
-        pat = ((1 << half) - 1) << half  # one period: half zeros, half ones
-        width = half << 1
-        while width < size:
-            pat |= pat << width
-            width <<= 1
-        col[v] = pat
-    acc = ones
-    for c in clauses:
-        m = 0
-        for lit in c:
-            m |= col[lit] if lit > 0 else ones ^ col[-lit]
-        acc &= m
-        if not acc:
-            return "unsat", None
-    m = (acc & -acc).bit_length() - 1
-    return "sat", {v: bool((m >> (v - 1)) & 1)
-                   for v in range(1, num_vars + 1)}
+    last_use[final] = len(steps)
+    derived: list[Optional[frozenset[int]]] = [None] * len(steps)
+    for idx, st in enumerate(steps):
+        if st.kind == "axiom":
+            clause = frozenset(clauses[st.left])
+        else:
+            a, b, v = derived[st.left], derived[st.right], st.pivot
+            if v <= 0 or v not in a or -v not in b:
+                return False
+            clause = (a - {v}) | (b - {-v})
+            if last_use[st.left] == idx:
+                derived[st.left] = None
+            if last_use[st.right] == idx:
+                derived[st.right] = None
+        if last_use[idx] > idx:
+            derived[idx] = clause
+    return not derived[final]

@@ -3,12 +3,15 @@
 Everything here is unfolded from the definitions (star_less candidates are
 b + w^theta for the finitely many admissible theta), so the closed-form
 implementations under test can be compared against it on finite samples.
+The propositional oracles (truth-table enumeration, plain unit propagation)
+share no code with the solver they check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Optional, Sequence
 
 from orw.ordinals import Ordinal, star_less
 
@@ -82,3 +85,73 @@ def f_members_recursive(c: int, r: int, m: int,
         level = {b for b, p in parents.items()
                  if b.l_count() > r and b < top and p in level}
     return sorted(level)
+
+
+def truth_table_status(clauses: Sequence[Sequence[int]],
+                       num_vars: int) -> tuple[str, Optional[dict[int, bool]]]:
+    """Exhaustive enumeration oracle for small systems.
+
+    All 2^num_vars assignments are evaluated at once, bit-parallel: one big
+    integer holds a clause's truth column, bit m being its value under the
+    assignment whose variable v reads bit (m >> (v-1)) & 1.  The model
+    returned for satisfiable systems is the one with the smallest such m.
+    """
+    if num_vars > 24:
+        raise ValueError("truth-table oracle is limited to 24 variables")
+    size = 1 << num_vars
+    ones = (1 << size) - 1
+    col = [0] * (num_vars + 1)
+    for v in range(1, num_vars + 1):
+        half = 1 << (v - 1)
+        pat = ((1 << half) - 1) << half  # one period: half zeros, half ones
+        width = half << 1
+        while width < size:
+            pat |= pat << width
+            width <<= 1
+        col[v] = pat
+    acc = ones
+    for c in clauses:
+        m = 0
+        for lit in c:
+            m |= col[lit] if lit > 0 else ones ^ col[-lit]
+        acc &= m
+        if not acc:
+            return "unsat", None
+    m = (acc & -acc).bit_length() - 1
+    return "sat", {v: bool((m >> (v - 1)) & 1)
+                   for v in range(1, num_vars + 1)}
+
+
+def propagates_to_conflict(clauses: Sequence[Sequence[int]],
+                           assumptions: Sequence[int]) -> bool:
+    """Plain unit propagation: sweep every clause until nothing changes.
+
+    True iff making the assumption literals true and closing under unit
+    propagation falsifies some clause.
+    """
+    true = set()
+    for lit in assumptions:
+        if -lit in true:
+            return True
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            if any(l in true for l in c):
+                continue
+            open_lits = [l for l in c if -l not in true]
+            if not open_lits:
+                return True
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return False
+
+
+def rup_implied(clauses: Sequence[Sequence[int]],
+                clause: Sequence[int]) -> bool:
+    """Reverse unit propagation (Goldberg & Novikov, DATE 2003): `clause`
+    is implied by `clauses` if assuming its negation propagates to a
+    conflict.  False means "not shown implied", not "not implied"."""
+    return propagates_to_conflict(clauses, [-l for l in clause])

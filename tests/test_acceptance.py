@@ -1,7 +1,7 @@
 """Acceptance gate: every shipped claim, one pass/fail line per criterion.
 
 Run as `pytest tests/test_acceptance.py -v -s`.  The heavyweight entries are
-the two n=4 clause replays (about a minute each); everything else is fast.
+the two n=4 clause replays (tens of seconds each); everything else is fast.
 """
 
 import json
@@ -11,7 +11,7 @@ from itertools import combinations
 
 from click.testing import CliRunner
 
-from oracles import f_members_recursive
+from oracles import f_members_recursive, truth_table_status
 from orw.cli import main as cli_main
 from orw.coloring import (
     check_certificate,
@@ -29,7 +29,7 @@ from orw.replay import (
     instantiate_clauses,
     replay_theorem,
 )
-from orw.solver import solve, truth_table_status
+from orw.solver import solve
 from test_coloring import brute_force_triangle, random_coloring, sample_universe
 
 
@@ -81,8 +81,12 @@ def test_criterion_2_ramsey_core():
 
 def test_criterion_3_upper_bound_replay():
     details = []
-    for n, mode, k in ((3, "ramsey-K", 7), (3, "square-K", 5),
-                       (4, "ramsey-K", 15), (4, "square-K", 12)):
+    # (nodes, trace_steps) pin the deterministic search: a solver change
+    # that alters a decision, a learned clause or a resolution shows here
+    for n, mode, k, search in ((3, "ramsey-K", 7, (887, 2370)),
+                               (3, "square-K", 5, (588, 1935)),
+                               (4, "ramsey-K", 15, (112648, 363335)),
+                               (4, "square-K", 12, (86851, 258968))):
         rep = replay_theorem(n, mode)
         assert rep.k == k
         if rep.status != "unsat":  # the model is the diagnostic artifact
@@ -90,6 +94,7 @@ def test_criterion_3_upper_bound_replay():
             _line(False, f"criterion 3: expected UNSAT at n={n} K={k}, "
                   "got a model (printed above)")
         assert rep.nodes <= 10_000_000, (n, mode, rep.nodes)
+        assert (rep.nodes, rep.trace_steps) == search, (n, mode)
         assert rep.trace_verified is True, (n, mode)
         assert rep.redundant_status == "unsat", (n, mode)
         details.append(f"({n},{k}):{rep.nodes}")

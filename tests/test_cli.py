@@ -1,5 +1,6 @@
 """Tests for the command-line surface: outputs, exit codes, file I/O."""
 
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,20 @@ class TestUpper:
         doc = json.loads(r.output)
         assert doc["status"] == "unsat" and doc["k"] == 7
         assert doc["ramsey_used"]["source"] == "computed"
+
+    @pytest.mark.parametrize("extra,code,digest", [
+        ((), 0,
+         "48b58e93e1301bec3141fd4816e8ead9ed093ca4f97bf2314cf10394a67d7c30"),
+        (("--drop", "C8"), 1,
+         "0343dc90f4e8af3858c6c30d2320ac3406cadffba810b5f397abfe5b3d57a020"),
+    ])
+    def test_replay_json_bytes_are_pinned(self, runner, extra, code, digest):
+        # the digests pin the whole report (search counters, trace size,
+        # verdicts, model), so a change to the search or the report shows
+        r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
+                            "--json", *extra])
+        assert r.exit_code == code
+        assert hashlib.sha256(r.output.encode()).hexdigest() == digest
 
     def test_drop_gives_model_and_failure_code(self, runner):
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "ramsey",

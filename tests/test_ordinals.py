@@ -14,7 +14,6 @@ from orw.ordinals import (
     OrdinalParseError,
     class_member,
     class_size,
-    class_top,
     classify,
     cnf_index,
     compare,
@@ -431,7 +430,6 @@ def test_class_member_and_top():
     assert class_member(g, NodeClassId(1, 0), 0) == ZERO
     assert class_member(g, NodeClassId(1, 0), 3) == o("3")
     assert class_member(g, NodeClassId(2, 0), 0) == o("w^2+1")
-    assert class_top(g, 2) == o("w^2*2")
     with pytest.raises(OrdinalError):
         class_member(g, NodeClassId(1, 2), 1)
 

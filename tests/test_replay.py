@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import rup_implied, truth_table_status
 from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
@@ -24,7 +25,6 @@ from orw.solver import (
     TraceStep,
     check_trace,
     solve,
-    truth_table_status,
 )
 
 
@@ -112,20 +112,76 @@ class TestSolver:
         cls = [(1,), (-1,)]
         r = solve(cls, 1)
         steps = list(r.trace.steps)
-        # pretend an axiom had different content
-        bad = steps.copy()
-        i = next(i for i, s in enumerate(bad) if s.kind == "axiom")
-        bad[i] = TraceStep("axiom", bad[i].left, -1, 0, frozenset({1, -1}))
-        assert not check_trace(cls, Trace(tuple(bad), r.trace.final))
-        # final step must be empty
-        nonfinal = next(i for i, s in enumerate(steps) if s.clause)
-        assert not check_trace(cls, Trace(tuple(steps), nonfinal))
+        assert check_trace(cls, r.trace)
+
+        def swap(i, step):
+            bad = steps.copy()
+            bad[i] = step
+            return Trace(tuple(bad), r.trace.final)
+
+        i = next(i for i, s in enumerate(steps) if s.kind == "axiom")
+        # an axiom citing the other input clause derives the wrong clause
+        wrong = 1 - steps[i].left
+        assert not check_trace(cls, swap(i, TraceStep("axiom", wrong, -1, 0)))
+        # an axiom citing no input clause at all
+        for ci in (len(cls), -1):
+            assert not check_trace(cls, swap(i, TraceStep("axiom", ci, -1, 0)))
+        # a resolution citing itself or a later step
+        j = r.trace.final
+        st = steps[j]
+        assert st.kind == "resolve"
+        for left, right in ((j, st.right), (st.left, j), (j + 1, st.right)):
+            assert not check_trace(
+                cls, swap(j, TraceStep("resolve", left, right, st.pivot)))
+        assert not check_trace(cls, swap(i, TraceStep("resolve", j, j, 1)))
+        # an unknown step kind
+        assert not check_trace(cls, swap(i, TraceStep("lemma", 0, -1, 0)))
+        # the final step must exist and be empty
+        assert not check_trace(cls, Trace(tuple(steps), i))
+        assert not check_trace(cls, Trace(tuple(steps), len(steps)))
 
     def test_checker_rejects_bad_pivot(self):
-        steps = (TraceStep("axiom", 0, -1, 0, frozenset({1})),
-                 TraceStep("axiom", 1, -1, 0, frozenset({2})),
-                 TraceStep("resolve", 0, 1, 1, frozenset()))
+        # each bad step below would derive (2) if let through, and the next
+        # step resolves (2) with (-2), so only the pivot check rejects it
+        cls = [(1, 2), (-1, 2), (-2,), (2,)]
+        ax = tuple(TraceStep("axiom", ci, -1, 0) for ci in range(4))
+
+        def refute(step):
+            return Trace(ax + (step, TraceStep("resolve", 4, 2, 2)), 5)
+
+        assert check_trace(cls, refute(TraceStep("resolve", 0, 1, 1)))
+        # pivot absent from the first premise: (2) with (-1 2) on 1
+        assert not check_trace(cls, refute(TraceStep("resolve", 3, 1, 1)))
+        # pivot's negation absent from the second premise: (1 2) with (2)
+        assert not check_trace(cls, refute(TraceStep("resolve", 0, 3, 1)))
+        # a pivot must be a positive variable
+        assert not check_trace(cls, refute(TraceStep("resolve", 1, 0, -1)))
+        assert not check_trace(cls, refute(TraceStep("resolve", 0, 1, 0)))
+        # a legal resolution that leaves a literal is not a refutation
+        assert not check_trace(
+            cls, Trace(ax + (TraceStep("resolve", 0, 1, 1),), 4))
+        # resolving (1) with (2) on 1 is no resolution
+        steps = (TraceStep("axiom", 0, -1, 0),
+                 TraceStep("axiom", 1, -1, 0),
+                 TraceStep("resolve", 0, 1, 1))
         assert not check_trace([(1,), (2,)], Trace(steps, 2))
+
+    def test_checker_accepts_reused_resolvent(self):
+        # (2) is derived once and cited twice, with a step in between, so
+        # freeing a resolvent after its last use must keep it alive
+        cls = [(1, 2), (-1, 2), (-2, 3), (-2, -3)]
+        steps = (TraceStep("axiom", 0, -1, 0),
+                 TraceStep("axiom", 1, -1, 0),
+                 TraceStep("resolve", 0, 1, 1),   # (2)
+                 TraceStep("axiom", 2, -1, 0),
+                 TraceStep("resolve", 2, 3, 2),   # (3)
+                 TraceStep("axiom", 3, -1, 0),
+                 TraceStep("resolve", 2, 5, 2),   # (-3)
+                 TraceStep("resolve", 4, 6, 3))   # ()
+        assert check_trace(cls, Trace(steps, 7))
+        # the same proof with a premise gone is rejected
+        broken = steps[:6] + (TraceStep("resolve", 0, 5, 2),) + steps[7:]
+        assert not check_trace(cls, Trace(broken, 7))
 
     def test_truth_table_size_limit(self):
         with pytest.raises(ValueError):
@@ -331,6 +387,26 @@ class TestReplay:
         rep = replay_theorem(3, "ramsey-K", drop=("C8",))
         assert len(rep.model["tilde"]) == 237
         assert len(rep.model["hat"]) == 6
+
+
+class TestRedundancy:
+    """C4 and C10 are flagged redundant: each of their clauses follows from
+    the core catalogue by reverse unit propagation."""
+
+    @pytest.mark.parametrize("k,count", [(5, 146), (7, 253)])
+    def test_redundant_schemas_are_rup_implied_by_core(self, k, count):
+        full = instantiate_clauses(3, k)
+        core = full.select(include_redundant=False).clauses
+        redundant = [c for c, t in zip(full.clauses, full.tags)
+                     if t.redundant]
+        assert len(redundant) == count
+        assert sum(rup_implied(core, c) for c in redundant) == count
+
+    def test_rup_oracle_can_answer_not_implied(self):
+        cls = [(1, 2), (-1, 2)]
+        assert rup_implied(cls, (2,))
+        assert not rup_implied(cls, (1,))  # 1 false, 2 true satisfies both
+        assert not rup_implied(cls, (-2,))
 
 
 class TestDimacs:
