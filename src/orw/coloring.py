@@ -441,16 +441,47 @@ def _explicit_points(c: QuotientColoring) -> list[Ordinal]:
     return sorted(pts)
 
 
-def _slot_pair_color(c: QuotientColoring, s: _Slot, t: _Slot) -> Color:
+def _slot_color(c: QuotientColoring, s: _Slot, t: _Slot) -> Color:
     """Color taken by a realization of two slots (fresh points dodge overrides)."""
     if s.kind == "point" and t.kind == "point":
-        return color_of(c, s.point, t.point)
+        col = c.overrides.get(_point_key(s.point, t.point))
+        if col is not None:
+            return col
     return c.class_pair_color(s.cls, t.cls)
 
-def _slot_point_color(c: QuotientColoring, s: _Slot, p: Ordinal) -> Color:
-    if s.kind == "point":
-        return color_of(c, s.point, p)
-    return c.class_pair_color(s.cls, classify(c.gamma, p))
+
+def _pool(c: QuotientColoring, points: Iterable[Ordinal]) -> list[_Slot]:
+    """Search slots: one per point, then one per infinite class."""
+    return ([_Slot("point", p, classify(c.gamma, p)) for p in points]
+            + [_Slot("class", None, cid) for cid in valid_classes(c.gamma)
+               if class_size(c.gamma, cid) is None])
+
+
+def _clique(c: QuotientColoring, pool: list[_Slot], usable: list[int],
+            size: int, color: Color) -> Optional[list[int]]:
+    """The first `size` slots from `usable` (pool indices) pairwise `color`.
+
+    Candidates are tried in `usable` order, each from the position of the
+    previous pick on.  A point slot is used once; a class slot may repeat,
+    and two fresh members of a class take its within color, so a repeat
+    passes exactly when that color is `color`.
+    """
+    def extend(picked: list[int], start: int) -> Optional[list[int]]:
+        if len(picked) == size:
+            return picked
+        for pos in range(start, len(usable)):
+            idx = usable[pos]
+            s = pool[idx]
+            if s.kind == "point" and idx in picked:
+                continue
+            if any(_slot_color(c, pool[j], s) != color for j in picked):
+                continue
+            got = extend(picked + [idx], pos)
+            if got is not None:
+                return got
+        return None
+
+    return extend([], 0)
 
 
 def _materialize(c: QuotientColoring, slots: Iterable[_Slot],
@@ -485,30 +516,8 @@ def decide_blue_closed_3(c: QuotientColoring) -> Optional[CopyCertificate]:
     pool triple with the same pairwise colors, and every passing pool triple
     is realizable, so the search is exact.
     """
-    pool: list[_Slot] = [
-        _Slot("point", p, classify(c.gamma, p)) for p in _explicit_points(c)]
-    caps: dict[int, int] = {i: 1 for i in range(len(pool))}
-    for cid in valid_classes(c.gamma):
-        if class_size(c.gamma, cid) is None:
-            caps[len(pool)] = 3 if c.within[cid] == BLUE else 1
-            pool.append(_Slot("class", None, cid))
-
-    def extend(picked: list[int], start: int) -> Optional[list[int]]:
-        if len(picked) == 3:
-            return picked
-        for idx in range(start, len(pool)):
-            count = picked.count(idx)
-            if count >= caps[idx]:
-                continue
-            if any(_slot_pair_color(c, pool[j], pool[idx]) != BLUE
-                   for j in picked):
-                continue
-            got = extend(picked + [idx], idx)
-            if got is not None:
-                return got
-        return None
-
-    found = extend([], 0)
+    pool = _pool(c, _explicit_points(c))
+    found = _clique(c, pool, list(range(len(pool))), 3, BLUE)
     if found is None:
         return None
     points = _materialize(c, [pool[i] for i in found])
@@ -565,6 +574,7 @@ def decide_red_closed_omega_plus_n(
         raise OrdinalError(f"need n >= 1, got {n}")
     explicit = _explicit_points(c)
     touched = c.touched()
+    pool = _pool(c, explicit)
     for p in _limit_candidates(c, explicit):
         p_cls = classify(c.gamma, p)
         top_of_component = partial_sum(c.gamma, p_cls.index)
@@ -573,39 +583,18 @@ def decide_red_closed_omega_plus_n(
                  if c.within[t] == RED and c.class_pair_color(t, p_cls) == RED]
         if not tails:
             continue
-        pool: list[_Slot] = [_Slot("point", e, classify(c.gamma, e))
-                             for e in explicit if e > p]
-        caps = {i: 1 for i in range(len(pool))}
-        for cid in valid_classes(c.gamma):
-            if class_size(c.gamma, cid) is not None:
-                continue
-            if cid.index > p_cls.index or (cid.index == p_cls.index
-                                           and p != top_of_component):
-                caps[len(pool)] = 1 if c.within[cid] == BLUE else n
-                pool.append(_Slot("class", None, cid))
+        limit = _Slot("point", p, p_cls)
+        # slots realizable above p and red to p; an infinite class of p's
+        # component reaches above p unless p is the component's top
+        above = [i for i, s in enumerate(pool)
+                 if (p < s.point if s.kind == "point"
+                     else s.cls.index > p_cls.index
+                     or (s.cls.index == p_cls.index and p != top_of_component))
+                 and _slot_color(c, s, limit) == RED]
         for tail in tails:
-            usable = [i for i, s in enumerate(pool)
-                      if _slot_point_color(c, s, p) == RED
-                      and c.class_pair_color(
-                          s.cls if s.kind == "class" else classify(c.gamma, s.point),
-                          tail) == RED]
-
-            def extend(picked: list[int], start: int) -> Optional[list[int]]:
-                if len(picked) == n - 1:
-                    return picked
-                for pos in range(start, len(usable)):
-                    idx = usable[pos]
-                    if picked.count(idx) >= caps[idx]:
-                        continue
-                    if any(_slot_pair_color(c, pool[j], pool[idx]) != RED
-                           for j in picked):
-                        continue
-                    got = extend(picked + [idx], pos)
-                    if got is not None:
-                        return got
-                return None
-
-            combo = extend([], 0)
+            usable = [i for i in above
+                      if c.class_pair_color(pool[i].cls, tail) == RED]
+            combo = _clique(c, pool, usable, n - 1, RED)
             if combo is None:
                 continue
             tops = _materialize(c, [pool[i] for i in combo], above=p)
@@ -619,15 +608,18 @@ def decide_red_closed_omega_plus_n(
     return None
 
 
-def check_certificate(c: QuotientColoring, cert: CopyCertificate,
-                      depth: int = 12) -> bool:
-    """Re-verify a certificate by sampling, independently of the search.
+def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
+    """Re-verify a certificate exactly, independently of the search.
 
     Blue kind: the three triangle points must be distinct, below gamma, and
     pairwise blue.  Red kind: the shape is checked (valid accumulating tail
-    class, increasing top points above the limit), then the first `depth`
-    tail points not in `excluded` are sampled and every pair among tail,
-    limit, and top points must be red.
+    class, increasing top points above the limit); the tail is the whole
+    approach sequence toward the limit minus `excluded`, an infinite subset
+    of the tail class.  Away from overrides its pairs take the tail class's
+    within color and its cross colors to the classes of the limit and the
+    tops, so those must be red, and so must every override joining a tail
+    point to a tail point, the limit or a top.  Pairs among the limit and
+    the tops are read directly.  No tail point is sampled.
     """
     if not isinstance(cert, CopyCertificate):
         raise ValueError("not a certificate")
@@ -653,16 +645,21 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate,
         return False
     if any(not a < b for a, b in zip(tops, tops[1:])):
         return False
+    ends = [p] + tops
+    classes = [tail_cls] + [classify(c.gamma, x) for x in ends]
+    if any(c.class_pair_color(tail_cls, k) != RED for k in classes):
+        return False
+    approach = class_members_toward(c.gamma, p, tail_cls.level)
     avoid = set(cert.excluded)
-    tail: list[Ordinal] = []
-    for x in class_members_toward(c.gamma, p, tail_cls.level):
-        if len(tail) == depth:
-            break
-        if x not in avoid:
-            tail.append(x)
-    group = tail + [p] + tops
-    return all(color_of(c, a, b) == RED
-               for a, b in combinations(group, 2))
+
+    def in_tail(x: Ordinal) -> bool:
+        return x not in avoid and approach.contains(x)
+
+    for (a, b), col in c.overrides.items():
+        if col != RED and ((in_tail(a) and (in_tail(b) or b in ends))
+                           or (in_tail(b) and a in ends)):
+            return False
+    return all(color_of(c, a, b) == RED for a, b in combinations(ends, 2))
 
 
 # -- the two-level analysis of omega^2 --------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional
 
@@ -112,7 +113,7 @@ class GnGraph:
     strata: Mapping[str, frozenset[tuple[str, str]]]
     w_vertices: tuple[str, ...]
 
-    @property
+    @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         out = set()
         for group in self.strata.values():

@@ -8,12 +8,13 @@ from click.testing import CliRunner
 
 from orw.cli import main
 from orw.coloring import (
+    CopyCertificate,
     QuotientColoring,
     certificate_to_json,
     coloring_to_json,
     decide_red_closed_omega_plus_n,
 )
-from orw.ordinals import parse
+from orw.ordinals import NodeClassId, parse
 from orw.ramsey import builtin_record, witness_to_json
 
 
@@ -299,6 +300,19 @@ class TestColoring:
         r = invoke(runner, ["coloring", "check", files["blue"],
                             "--certificate", files["cert"]])
         assert r.exit_code == 1
+
+    def test_check_rejects_override_deep_in_the_tail(self, runner, tmp_path):
+        # the 30th tail point toward w is blue to the limit
+        c = QuotientColoring.build("w^2", overrides={("30", "w"): 1})
+        cert = CopyCertificate(
+            kind="red-omega-plus-n", tail_class=NodeClassId(1, 0),
+            limit_point=parse("w"), top_points=(parse("w*2"),))
+        (tmp_path / "c.json").write_text(coloring_to_json(c))
+        (tmp_path / "cert.json").write_text(certificate_to_json(cert))
+        r = invoke(runner, ["coloring", "check", str(tmp_path / "c.json"),
+                            "--certificate", str(tmp_path / "cert.json")])
+        assert r.exit_code == 1
+        assert "INVALID red-omega-plus-n" in r.output
 
     def test_malformed_files(self, runner, files, tmp_path):
         bad = tmp_path / "bad.json"
