@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import NamedTuple, Optional
 
 from .coloring import QuotientColoring
@@ -27,6 +28,8 @@ __all__ = [
     "ClauseTag",
     "ClauseSystem",
     "instantiate_clauses",
+    "catalogue_size",
+    "MAX_CLAUSES",
     "decide",
     "replay_theorem",
     "resolve_k",
@@ -42,11 +45,19 @@ __all__ = [
 SCHEMAS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10",
            "C11", "C12", "C13", "C14")
 REDUNDANT_SCHEMAS = ("C4", "C10")
+MAX_CLAUSES = 1_000_000  # larger catalogues are refused before any is built
 
 
 def replay_gamma(n: int, k: int) -> Ordinal:
     return (Ordinal.omega_power(2, n) + Ordinal.omega_power(1, k)
             + Ordinal.from_int(1))
+
+
+def _check_parameters(n: int, k: int) -> None:
+    if n < 3:
+        raise OrdinalError(f"replay needs n >= 3, got {n}")
+    if k < 2:
+        raise OrdinalError(f"replay needs K >= 2, got {k}")
 
 
 class VariableSpace:
@@ -55,15 +66,12 @@ class VariableSpace:
     One variable per unordered pair of classes in distinct components
     ("t(i,j;k,l)"), and one per pair (component top, lower level of the same
     component) for components 1..n ("h(i,l)").  Indices are assigned in
-    component-major order so the solver's default order scans components in
-    sequence.
+    component-major order, so the solver's first decisions, taken in index
+    order, scan components in sequence.
     """
 
     def __init__(self, n: int, k: int):
-        if n < 3:
-            raise OrdinalError(f"replay needs n >= 3, got {n}")
-        if k < 2:
-            raise OrdinalError(f"replay needs K >= 2, got {k}")
+        _check_parameters(n, k)
         self.n = n
         self.k = k
         self.gamma = replay_gamma(n, k)
@@ -174,15 +182,55 @@ class ClauseSystem:
         }, indent=2)
 
 
-def instantiate_clauses(n: int, k: int,
-                        drop: tuple[str, ...] = ()) -> ClauseSystem:
-    """Build the full tagged catalogue C1..C14 (C4/C10 flagged redundant).
+def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
+    """The number of clauses `instantiate_clauses(n, k, drop)` builds.
 
-    `drop` removes whole schemas, for ablation experiments.
+    Each term counts one schema's loops below.  The space has n squared
+    components of three classes and k limit components of two, and
+    sources(k0) yields 2(n-k0)+k classes.
     """
     for s in drop:
         if s not in SCHEMAS:
             raise ValueError(f"unknown schema {s!r}")
+    _check_parameters(n, k)
+    classes = 3 * n + 2 * k
+    # class triples from three distinct components, by how many are squared
+    triples = (27 * comb(n, 3) + 18 * comb(n, 2) * k + 12 * n * comb(k, 2)
+               + 8 * comb(k, 3))
+    sizes = {
+        "C1": n * (classes - 3),
+        "C2": 3 * n * (n - 1),
+        "C3": n,
+        "C4": 3 * n * comb(k, 2),
+        "C5": 2 * n * (n - 1 + k),
+        "C6": (n - 1) * (n + k),
+        "C7": n - 1,
+        # 2 * sum over k0 = 1..n of C(n+k-k0, n-1), by the hockey stick
+        "C8": 2 * (comb(n + k, n) - comb(k, n)),
+        "C9": 2 * (n - 1) * (n + k),
+        "C10": 2 * (n - 1) * (k + 3 * n),
+        "C11": 3 * (n - 1) * (k - 1),
+        "C12": triples + 2 * n * (classes - 3),
+        "C13": comb(n + k, 3),
+        "C14": 2 * n * (n - 1) * (k - 1),
+    }
+    return sum(size for s, size in sizes.items() if s not in drop)
+
+
+def instantiate_clauses(n: int, k: int,
+                        drop: tuple[str, ...] = ()) -> ClauseSystem:
+    """Build the full tagged catalogue C1..C14 (C4/C10 flagged redundant).
+
+    `drop` removes whole schemas, for ablation experiments.  A catalogue of
+    more than MAX_CLAUSES clauses is refused before anything is built.
+    """
+    size = catalogue_size(n, k, drop)
+    if size > MAX_CLAUSES:
+        # str() refuses integers of more than 4300 digits
+        shown = size if size < 10**15 else f"about 2^{size.bit_length()}"
+        raise OrdinalError(
+            f"the catalogue at n={n} K={k} has {shown} clauses, more than "
+            f"the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
     clauses: list[tuple[int, ...]] = []
     tags: list[ClauseTag] = []

@@ -2,20 +2,29 @@
 
 Variables are positive integers; a literal is a signed integer; a clause is a
 tuple of literals.  The solver does unit propagation with two-literal
-watching, branches on the first unassigned variable of a fixed order with
-false tried first, and learns a clause at every conflict, so identical
-inputs explore identical search trees.  Unsatisfiable runs end with a
-resolution trace whose steps name premises, not clauses: an axiom cites an
-input clause, a resolution two earlier steps and a pivot variable.  An
-independent checker derives every clause from what its step cites, as in
-Goldberg & Novikov (DATE 2003), and requires the final one to be empty.
-Satisfiable runs return a total model.  Exceeding the decision budget
-raises, keeping resource exhaustion distinct from either answer.
+watching and learns a first-UIP clause at every conflict.  Until its first
+restart it branches on the lowest-numbered unassigned variable, false
+first, so a solve that ends within its first RESTART_UNIT conflicts
+explores that static tree.  Restarts follow the Luby sequence (Luby,
+Sinclair & Zuckerman, IPL 1993) in units of RESTART_UNIT conflicts; from
+the first one on, the solver branches on the unassigned variable of
+highest activity, ties to the lowest number (Moskewicz et al., "Chaff",
+DAC 2001), and gives it the value it last held (phase saving).  Activity
+rises for every variable that takes part in a conflict's analysis and
+decays geometrically.  Nothing is random, so identical inputs explore
+identical search trees.  Unsatisfiable runs end with a resolution trace
+whose steps name premises, not clauses: an axiom cites an input clause, a
+resolution two earlier steps and a pivot variable.  An independent checker
+derives every clause from what its step cites, as in Goldberg & Novikov
+(DATE 2003), and requires the final one to be empty.  Satisfiable runs
+return a total model.  Exceeding the decision budget raises, keeping
+resource exhaustion distinct from either answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -26,6 +35,10 @@ __all__ = [
     "check_trace",
     "solve",
 ]
+
+RESTART_UNIT = 256  # conflicts per unit of the Luby restart sequence
+ACTIVITY_DECAY = 0.95  # the bump increment grows by 1/ACTIVITY_DECAY
+ACTIVITY_LIMIT = 1e100  # past this, every activity is scaled by 1/LIMIT
 
 
 class BudgetExceeded(RuntimeError):
@@ -54,18 +67,20 @@ class SolveResult:
     status: str  # "sat" | "unsat"
     model: Optional[dict[int, bool]]
     trace: Optional[Trace]
-    nodes: int
+    nodes: int  # decisions
+    conflicts: int
+    restarts: int
 
 
 def solve(clauses: Sequence[Sequence[int]], num_vars: int,
-          budget: int = 10_000_000,
-          order: Optional[Sequence[int]] = None) -> SolveResult:
+          budget: int = 10_000_000) -> SolveResult:
     cls = [tuple(dict.fromkeys(c)) for c in clauses]
     n_orig = len(cls)
-    for c in cls:
-        if any(abs(l) < 1 or abs(l) > num_vars for l in c):
-            raise ValueError(f"literal out of range in clause {c}")
-    order = list(range(1, num_vars + 1)) if order is None else list(order)
+    lits = {l for c in cls for l in c}
+    if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
+        bad = next(c for c in cls
+                   if 0 in c or max(map(abs, c), default=0) > num_vars)
+        raise ValueError(f"literal out of range in clause {bad}")
 
     # lists indexed by a signed literal have 2*num_vars+1 slots, so that
     # negative indexing gives -v a slot of its own
@@ -73,14 +88,22 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     reason: list[Optional[int]] = [None] * (num_vars + 1)
     level = [0] * (num_vars + 1)
     seen = [False] * (num_vars + 1)  # variables of the running resolvent
+    activity = [0.0] * (num_vars + 1)
+    phase = [-v for v in range(num_vars + 1)]  # literal last held; false first
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
     qhead = 0
-    nodes = 0
+    nodes = conflicts = restarts = 0
+    bump = 1.0
 
     steps: list[TraceStep] = []
     axiom_of: dict[int, int] = {}
     learned_step: dict[int, int] = {}
+
+    def result(status: str, model: Optional[dict[int, bool]] = None,
+               final: int = -1) -> SolveResult:
+        trace = Trace(tuple(steps), final) if status == "unsat" else None
+        return SolveResult(status, model, trace, nodes, conflicts, restarts)
 
     def axiom(ci: int) -> int:
         got = axiom_of.get(ci)
@@ -114,64 +137,83 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 
     for ci, c in enumerate(cls):
         if not c:
-            step = axiom(ci)
-            return SolveResult("unsat", None, Trace(tuple(steps), step), 0)
+            return result("unsat", final=axiom(ci))
         attach(ci)
 
     def propagate() -> Optional[int]:
+        # val[flit] is -1 throughout, so a replacement watch only has to
+        # be non-false and differ from the other watch
         nonlocal qhead
         val = value
         wlists = watches
         wpairs = watch_lits
+        clist = cls
+        tr = trail
+        why = reason
+        lev = level
         lvl = len(trail_lim)
-        while qhead < len(trail):
-            flit = -trail[qhead]
-            qhead += 1
+        q = qhead
+        while q < len(tr):
+            flit = -tr[q]
+            q += 1
             wl = wlists[flit]
             i = 0
-            while i < len(wl):
+            end = len(wl)
+            while i < end:
                 ci = wl[i]
                 pair = wpairs[ci]
                 other = pair[1] if pair[0] == flit else pair[0]
                 if other == flit:
+                    qhead = q
                     return ci  # unit clause just falsified
                 ov = val[other]
                 if ov == 1:
                     i += 1
                     continue
-                for lit2 in cls[ci]:
-                    if lit2 != other and lit2 != flit and val[lit2] >= 0:
+                for lit2 in clist[ci]:
+                    if val[lit2] >= 0 and lit2 != other:
                         pair[0] = other
                         pair[1] = lit2
                         wlists[lit2].append(ci)
-                        wl[i] = wl[-1]
+                        end -= 1
+                        wl[i] = wl[end]
                         wl.pop()
                         break
                 else:
                     if ov:
+                        qhead = q
                         return ci
                     val[other] = 1
                     val[-other] = -1
                     var = abs(other)
-                    reason[var] = ci
-                    level[var] = lvl
-                    trail.append(other)
+                    why[var] = ci
+                    lev[var] = lvl
+                    tr.append(other)
                     i += 1
+        qhead = q
         return None
 
-    def derive(ci: int) -> tuple[int, list[int], int]:
+    def derive(ci: int) -> tuple[int, list[int], int, bool]:
         # resolve clause ci with reason clauses, walking the trail back, to
         # the first UIP (one current-level literal left) or, at decision
         # level 0, to the empty clause.  The running resolvent is its count
         # of current-level literals plus its lower-level literals, all of
-        # them false and marked in `seen`.
+        # them false and marked in `seen`.  Every marked variable is bumped;
+        # the last value says whether some activity passed ACTIVITY_LIMIT.
         cur = len(trail_lim)
         sid = step_of(ci)
         lower: list[int] = []
         at_cur = uip = 0
+        act = activity
+        inc = bump
+        over = False
         for l in cls[ci]:
-            seen[abs(l)] = True
-            if level[abs(l)] == cur:
+            v = abs(l)
+            seen[v] = True
+            act[v] += inc
+            if act[v] > ACTIVITY_LIMIT:
+                over = True
+            if level[v] == cur:
                 at_cur += 1
             else:
                 lower.append(l)
@@ -198,6 +240,9 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
                 v2 = abs(l)
                 if l != lit and not seen[v2]:
                     seen[v2] = True
+                    act[v2] += inc
+                    if act[v2] > ACTIVITY_LIMIT:
+                        over = True
                     if level[v2] == cur:
                         at_cur += 1
                     else:
@@ -206,46 +251,70 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             at_cur -= 1
         for l in lower:
             seen[abs(l)] = False
-        return sid, lower, uip
+        return sid, lower, uip, over
 
-    pos_of = [0] * (num_vars + 1)
-    for p, v in enumerate(order):
-        pos_of[v] = p
+    # Until the first restart, `head` is the lowest variable that may be
+    # unassigned.  From then on `heap` holds (-activity, var) entries; an
+    # entry is live when `key[var]` still equals its activity, and every
+    # unassigned variable has a live entry.
+    head = 1
+    heap: Optional[list[tuple[float, int]]] = None
+    key: list[Optional[float]] = []
 
-    def backjump(bj: int) -> int:
-        nonlocal qhead
+    def rebuild_heap() -> None:
+        nonlocal heap, key
+        key = [None] * (num_vars + 1)
+        heap = []
+        for v in range(1, num_vars + 1):
+            if value[v] == 0:
+                key[v] = activity[v]
+                heap.append((-activity[v], v))
+        heapify(heap)
+
+    def backjump(bj: int) -> None:
+        nonlocal qhead, head
         mark = trail_lim[bj]
-        mn = len(order)
         for lit in trail[mark:]:
             value[lit] = 0
             value[-lit] = 0
             var = abs(lit)
             reason[var] = None
-            if pos_of[var] < mn:
-                mn = pos_of[var]
+            phase[var] = lit
+            if heap is None:
+                if var < head:
+                    head = var
+            elif key[var] != activity[var]:
+                key[var] = activity[var]
+                heappush(heap, (-activity[var], var))
         del trail[mark:]
         del trail_lim[bj:]
         qhead = mark
-        return mn
 
     # root-level units
     for ci, c in enumerate(cls):
         if len(c) == 1:
             lit = c[0]
             if value[lit] == -1:
-                sid = derive(ci)[0]
-                return SolveResult("unsat", None, Trace(tuple(steps), sid), 0)
+                conflicts += 1
+                return result("unsat", final=derive(ci)[0])
             if value[lit] == 0:
                 set_lit(lit, ci)
 
-    head = 0
+    luby_u = luby_v = 1  # Knuth's pair: luby_v runs 1, 1, 2, 1, 1, 2, 4, ...
+    next_restart = RESTART_UNIT
     while True:
         conf = propagate()
         if conf is not None:
-            sid, lower, uip = derive(conf)
+            conflicts += 1
+            sid, lower, uip, over = derive(conf)
             if not trail_lim:
-                return SolveResult("unsat", None, Trace(tuple(steps), sid),
-                                   nodes)
+                return result("unsat", final=sid)
+            bump /= ACTIVITY_DECAY
+            if over:
+                activity[:] = [a / ACTIVITY_LIMIT for a in activity]
+                bump /= ACTIVITY_LIMIT
+                if heap is not None:
+                    rebuild_heap()
             bj = max((level[abs(l)] for l in lower), default=0)
             ci = len(cls)
             # put the asserting literal first, then a deepest-level literal,
@@ -254,21 +323,44 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             cls.append(tuple([uip] + lower))
             learned_step[ci] = sid
             attach(ci)
-            freed = backjump(bj)
+            if bj and conflicts >= next_restart:
+                # both watches of the learned clause sit above level 0, so
+                # it is left unasserted there
+                backjump(0)
+                rebuild_heap()
+                restarts += 1
+                if luby_u & -luby_u == luby_v:
+                    luby_u += 1
+                    luby_v = 1
+                else:
+                    luby_v *= 2
+                next_restart = conflicts + RESTART_UNIT * luby_v
+                continue
+            backjump(bj)
             set_lit(uip, ci)
-            if freed < head:
-                head = freed
             continue
-        while head < len(order) and value[order[head]] != 0:
-            head += 1
-        if head == len(order):
-            model = {v: value[v] == 1 for v in range(1, num_vars + 1)}
-            return SolveResult("sat", model, None, nodes)
+        if heap is None:
+            while head <= num_vars and value[head] != 0:
+                head += 1
+            if head > num_vars:
+                break
+            lit = -head  # false first
+        else:
+            while heap:
+                neg, var = heappop(heap)
+                if key[var] == -neg:
+                    key[var] = None
+                    if value[var] == 0:
+                        break
+            else:
+                break
+            lit = phase[var]
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes)
         trail_lim.append(len(trail))
-        set_lit(-order[head], None)  # false first
+        set_lit(lit, None)
+    return result("sat", {v: value[v] == 1 for v in range(1, num_vars + 1)})
 
 
 def check_trace(clauses: Sequence[Sequence[int]], trace: Trace) -> bool:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -169,6 +170,24 @@ class TestUpper:
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
                             "--drop", "C99"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["replay", "-n", "7", "--k", "square"],
+        ["export", "-n", "6", "--k", "square", "-o", "never-written"],
+        ["replay", "-n", "2000", "--k", "square"],
+    ])
+    def test_oversized_catalogue_refused_before_building(self, runner, args,
+                                                         tmp_path):
+        # (7,45) would hold 177 076 742 clauses, (6,32) 3 816 276 and
+        # (2000, 3 999 996) a count of over 4 300 digits; each is refused
+        # from its closed-form size, without building it
+        start = time.perf_counter()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, ["upper", *args])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2
+        assert "clauses, more than the limit" in r.output
+        assert not any(tmp_path.rglob("never-written*"))
 
     def test_budget_exhaustion(self, runner):
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",

@@ -10,9 +10,11 @@ from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
+    MAX_CLAUSES,
     ClauseSystem,
     VariableSpace,
     assignment_from_coloring,
+    catalogue_size,
     decide,
     first_violated_clause,
     instantiate_clauses,
@@ -20,6 +22,7 @@ from orw.replay import (
     replay_theorem,
 )
 from orw.solver import (
+    RESTART_UNIT,
     BudgetExceeded,
     Trace,
     TraceStep,
@@ -98,15 +101,51 @@ class TestSolver:
             solve(cls, nv, budget=5)
 
     def test_deterministic(self):
-        cls, nv = php_clauses(5)
-        a, b = solve(cls, nv), solve(cls, nv)
-        assert a.nodes == b.nodes
-        assert a.trace.steps == b.trace.steps
+        # 5 holes end before the first restart, 7 holes restart
+        for holes in (5, 7):
+            cls, nv = php_clauses(holes)
+            a, b = solve(cls, nv), solve(cls, nv)
+            assert (a.nodes, a.conflicts, a.restarts) == \
+                (b.nodes, b.conflicts, b.restarts)
+            assert a.trace.steps == b.trace.steps
 
-    def test_order_changes_search_not_answer(self):
-        cls, nv = php_clauses(4)
-        r = solve(cls, nv, order=list(range(nv, 0, -1)))
+    def test_restarts_on_pigeonhole_7(self):
+        # past RESTART_UNIT conflicts the search restarts and decides by
+        # activity; the refutation still verifies
+        cls, nv = php_clauses(7)
+        r = solve(cls, nv)
         assert r.status == "unsat" and check_trace(cls, r.trace)
+        assert r.conflicts > RESTART_UNIT and r.restarts >= 1
+
+    def test_short_solve_never_restarts(self):
+        cls, nv = php_clauses(5)
+        r = solve(cls, nv)
+        assert 0 < r.conflicts < RESTART_UNIT and r.restarts == 0
+
+    def test_random_3sat_at_threshold(self):
+        # 100 variables at clause ratio 4.26: a mix of sat and unsat
+        # instances, several of them long enough to restart
+        rng = random.Random(4260)
+        nv = 100
+        statuses, restarted = set(), 0
+        for _ in range(10):
+            cls = [tuple(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, nv + 1), 3))
+                   for _ in range(426)]
+            r = solve(cls, nv)
+            statuses.add(r.status)
+            restarted += r.restarts > 0
+            if r.status == "unsat":
+                assert check_trace(cls, r.trace)
+            else:
+                for c in cls:
+                    assert any(r.model[abs(l)] == (l > 0) for l in c)
+        assert statuses == {"sat", "unsat"} and restarted
+
+    def test_literal_out_of_range(self):
+        for bad in ([(1, 0)], [(1, 3)], [(-3,)], [(), (2, -3)]):
+            with pytest.raises(ValueError, match="out of range"):
+                solve(bad, 2)
 
     def test_checker_rejects_tampering(self):
         cls = [(1,), (-1,)]
@@ -285,6 +324,27 @@ class TestInstantiation:
         lens = {len(c) for c, t in zip(sys_.clauses, sys_.tags)
                 if t.schema == "C11"}
         assert lens == {8}  # K falsity literals plus the excluded top
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_catalogue_size_is_exact(self, n):
+        for k in range(2, 10):
+            for drop in ((), ("C8",)):
+                assert catalogue_size(n, k, drop) == \
+                    len(instantiate_clauses(n, k, drop)), (n, k, drop)
+
+    def test_oversized_catalogue_is_refused(self):
+        # the square-K catalogue at n = 5 stays allowed; n = 6 does not
+        assert catalogue_size(5, 21) == 126_671 <= MAX_CLAUSES
+        assert catalogue_size(6, 32) > MAX_CLAUSES
+        with pytest.raises(OrdinalError, match="more than the limit"):
+            instantiate_clauses(6, 32)
+        # a dropped schema is not counted: C8 is most of (6,32)
+        assert catalogue_size(6, 32, ("C8",)) == 107_298
+        # parameter checks come first, as in VariableSpace
+        with pytest.raises(OrdinalError):
+            catalogue_size(2, 7)
+        with pytest.raises(ValueError, match="unknown schema"):
+            catalogue_size(3, 7, drop=("C99",))
 
     def test_drop_removes_schema(self):
         sys_ = instantiate_clauses(3, 5, drop=("C8",))
