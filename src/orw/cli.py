@@ -48,6 +48,19 @@ __all__ = ["main", "BoundsRow", "bounds_rows"]
 _ERRORS = (OrdinalError, RamseyError, OSError, json.JSONDecodeError)
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current stdout/stderr, bypassing click's cache.
+
+    click caches its corrected stream per sys.stdout/sys.stderr object in a
+    WeakKeyDictionary whose value is usually the key itself, so an entry
+    never dies, and every in-process run (CliRunner swaps in fresh streams)
+    would leave one.  errors=None asks for the same correction as click's
+    default path.
+    """
+    click.echo(message, file=click.get_text_stream(
+        "stderr" if err else "stdout", errors=None))
+
+
 def _guarded(fn):
     """Map domain/input/resource errors to exit code 2 with a message."""
 
@@ -56,11 +69,11 @@ def _guarded(fn):
         try:
             return fn(*args, **kwargs)
         except BudgetExceeded as exc:
-            click.echo(f"error: node budget exhausted after {exc.nodes} "
-                       "decisions", err=True)
+            _echo(f"error: node budget exhausted after {exc.nodes} "
+                  "decisions", err=True)
             raise SystemExit(2)
         except _ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             raise SystemExit(2)
 
     return wrapper
@@ -91,7 +104,7 @@ def _load_certificate(path: str):
 
 
 def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
 
 
 @click.group()
@@ -196,14 +209,14 @@ def cmd_bounds(nmax: int, table_path: Optional[str], as_json: bool) -> None:
               "yes" if r.square_better else "no"] for r in rows]
     widths = [max(len(c[i]) for c in [cols] + cells) for i in range(len(cols))]
     for line in [cols] + cells:
-        click.echo("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip())
+        _echo("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip())
     flagged = sorted({(int(k.split("(")[1].split(",")[0]), e.value)
                       for r in rows
                       for k, e in r.ramsey_values_used.items()
                       if e.source == "external"})
     if flagged:
-        click.echo("external values: "
-                   + ", ".join(f"R({m},3)={v}" for m, v in flagged))
+        _echo("external values: "
+              + ", ".join(f"R({m},3)={v}" for m, v in flagged))
 
 
 # -- lower ------------------------------------------------------------------
@@ -235,15 +248,14 @@ def cmd_lower_verify(n: int, witness_path: Optional[str], control: bool,
         with open(dot_path, "w") as fh:
             fh.write(export_dot(g))
     if as_json:
-        click.echo(report.to_json())
+        _echo(report.to_json())
     else:
         for st in report.stages:
             mark = "pass" if st.ok else "FAIL"
             detail = " ".join(st.detail.split()) if st.detail else ""
-            click.echo(f"{st.name}: {mark}" + (f" ({detail})"
-                                               if detail else ""))
-        click.echo(f"space {report.gamma}: "
-                   + ("PASS" if report.passed else "FAIL"))
+            _echo(f"{st.name}: {mark}" + (f" ({detail})" if detail else ""))
+        _echo(f"space {report.gamma}: "
+              + ("PASS" if report.passed else "FAIL"))
     raise SystemExit(0 if report.passed else 1)
 
 
@@ -285,20 +297,19 @@ def cmd_upper_replay(n: int, k_choice: str, witness_path: Optional[str],
     except ValueError as exc:
         raise OrdinalError(str(exc))
     if as_json:
-        click.echo(rep.to_json())
+        _echo(rep.to_json())
     else:
-        click.echo(f"n={rep.n} mode={rep.mode} K={rep.k} space={rep.gamma}")
-        click.echo(f"variables={rep.num_vars} clauses={rep.num_clauses}"
-                   + (f" dropped={','.join(rep.dropped)}" if rep.dropped
-                      else ""))
+        _echo(f"n={rep.n} mode={rep.mode} K={rep.k} space={rep.gamma}")
+        _echo(f"variables={rep.num_vars} clauses={rep.num_clauses}"
+              + (f" dropped={','.join(rep.dropped)}" if rep.dropped else ""))
         if rep.status == "unsat":
-            click.echo(f"status=unsat nodes={rep.nodes} "
-                       f"trace_steps={rep.trace_steps} "
-                       f"trace_verified={rep.trace_verified} "
-                       f"redundant={rep.redundant_status}")
+            _echo(f"status=unsat nodes={rep.nodes} "
+                  f"trace_steps={rep.trace_steps} "
+                  f"trace_verified={rep.trace_verified} "
+                  f"redundant={rep.redundant_status}")
         else:
-            click.echo(f"status=sat nodes={rep.nodes}; model tables follow")
-            click.echo(json.dumps(rep.model, indent=2))
+            _echo(f"status=sat nodes={rep.nodes}; model tables follow")
+            _echo(json.dumps(rep.model, indent=2))
     ok = (rep.status == "unsat" and rep.trace_verified
           and rep.redundant_status == "unsat")
     raise SystemExit(0 if ok else 1)
@@ -327,8 +338,8 @@ def cmd_upper_export(n: int, k_choice: str, out_base: str,
         fh.write(system.to_dimacs())
     with open(out_base + ".json", "w") as fh:
         fh.write(system.sidecar_json())
-    click.echo(f"wrote {out_base}.cnf ({len(system)} clauses, "
-               f"{system.space.num_vars} variables) and {out_base}.json")
+    _echo(f"wrote {out_base}.cnf ({len(system)} clauses, "
+          f"{system.space.num_vars} variables) and {out_base}.json")
 
 
 # -- ramsey -----------------------------------------------------------------
@@ -352,7 +363,7 @@ def cmd_ramsey_value(n: int, table_path: Optional[str],
     if as_json:
         _emit({"n": n, "value": entry.value, "source": entry.source})
     else:
-        click.echo(f"R({n},3) = {entry.value} ({entry.source})")
+        _echo(f"R({n},3) = {entry.value} ({entry.source})")
 
 
 @ramsey.command("brute")
@@ -363,11 +374,11 @@ def cmd_ramsey_brute(n: int, as_json: bool) -> None:
     """Compute R(n,3) exhaustively (n <= 4) with a verified witness."""
     rec = brute_force_ramsey(n)
     if as_json:
-        click.echo(witness_to_json(rec))
+        _echo(witness_to_json(rec))
     else:
-        click.echo(f"R({n},3) = {rec.value}; extremal witness on "
-                   f"{rec.witness.order} vertices with "
-                   f"{len(rec.witness.edges)} edges")
+        _echo(f"R({n},3) = {rec.value}; extremal witness on "
+              f"{rec.witness.order} vertices with "
+              f"{len(rec.witness.edges)} edges")
 
 
 @ramsey.command("verify")
@@ -390,12 +401,12 @@ def cmd_ramsey_verify(n: int, witness_path: str, as_json: bool) -> None:
                "independent_set": (list(rep.independent_set)
                                    if rep.independent_set else None)})
     elif rep.ok:
-        click.echo(f"ok: order-{g.order} graph is triangle-free with no "
-                   f"independent set of size {n}")
+        _echo(f"ok: order-{g.order} graph is triangle-free with no "
+              f"independent set of size {n}")
     elif rep.triangle:
-        click.echo(f"FAIL: triangle at {rep.triangle}")
+        _echo(f"FAIL: triangle at {rep.triangle}")
     else:
-        click.echo(f"FAIL: independent set {rep.independent_set}")
+        _echo(f"FAIL: independent set {rep.independent_set}")
     raise SystemExit(0 if rep.ok else 1)
 
 
@@ -408,8 +419,8 @@ def cmd_ramsey_export(n: int, out_path: str) -> None:
     rec = builtin_record(n)
     with open(out_path, "w") as fh:
         fh.write(witness_to_json(rec))
-    click.echo(f"wrote {out_path} (order {rec.witness.order}, "
-               f"R({n},3) = {rec.value})")
+    _echo(f"wrote {out_path} (order {rec.witness.order}, "
+          f"R({n},3) = {rec.value})")
 
 
 # -- ordinal ----------------------------------------------------------------
@@ -433,7 +444,7 @@ def cmd_ordinal_eval(expr: str, as_json: bool) -> None:
         _emit({"input": expr, "canonical": str(x),
                "cb_rank": x.cb_rank(), "kind": kind})
     else:
-        click.echo(str(x))
+        _echo(str(x))
 
 
 # -- coloring ---------------------------------------------------------------
@@ -462,10 +473,10 @@ def cmd_coloring_decide(file: str, n: int, as_json: bool) -> None:
                "red_omega_plus_n": (json.loads(certificate_to_json(red))
                                     if red else None)})
     else:
-        click.echo("blue triple: "
-                   + (certificate_to_json(blue) if blue else "none"))
-        click.echo(f"red closed omega+{n}: "
-                   + (certificate_to_json(red) if red else "none"))
+        _echo("blue triple: "
+              + (certificate_to_json(blue) if blue else "none"))
+        _echo(f"red closed omega+{n}: "
+              + (certificate_to_json(red) if red else "none"))
     raise SystemExit(1 if blue or red else 0)
 
 
@@ -486,8 +497,7 @@ def cmd_coloring_check(file: str, cert_path: str, as_json: bool) -> None:
     if as_json:
         _emit({"gamma": str(c.gamma), "kind": cert.kind, "ok": ok})
     else:
-        click.echo(("valid " if ok else "INVALID ") + cert.kind
-                   + " certificate")
+        _echo(("valid " if ok else "INVALID ") + cert.kind + " certificate")
     raise SystemExit(0 if ok else 1)
 
 

@@ -25,6 +25,7 @@ from .ordinals import (
     class_members_above,
     class_members_toward,
     class_size,
+    class_count,
     classify,
     expansion,
     is_valid_class,
@@ -39,6 +40,7 @@ from .ordinals import (
 
 RED = 0
 BLUE = 1
+MAX_CLASSES = 1_000  # colorings with more node classes are refused unbuilt
 
 Color = int
 PointPair = tuple[Ordinal, Ordinal]
@@ -47,6 +49,7 @@ ClassPair = tuple[NodeClassId, NodeClassId]
 __all__ = [
     "RED",
     "BLUE",
+    "MAX_CLASSES",
     "QuotientColoring",
     "NormalTable",
     "CanonicalTable",
@@ -114,11 +117,18 @@ class QuotientColoring:
 
         `within` maps class ids to colors; `cross` maps class pairs (either
         order) to colors or is a callable (a, b) -> color; `overrides` maps
-        point pairs (ordinals, ints, or expression strings) to colors.
+        point pairs (ordinals, ints, or expression strings) to colors.  A
+        gamma with more than MAX_CLASSES node classes is refused before any
+        table is built: the cross table grows with the square of that count.
         """
         g = _as_ordinal(gamma)
         if g.is_zero():
             raise OrdinalError("coloring needs a nonzero gamma")
+        count = class_count(g)
+        if count > MAX_CLASSES:
+            raise OrdinalError(
+                f"gamma {g} has {count} node classes, more than the limit "
+                f"of {MAX_CLASSES}")
         classes = valid_classes(g)
         class_set = set(classes)
 

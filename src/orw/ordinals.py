@@ -538,6 +538,16 @@ def valid_classes(gamma: Ordinal) -> list[NodeClassId]:
     return out
 
 
+def class_count(gamma: Ordinal) -> int:
+    """len(valid_classes(gamma)), counted from the Cantor normal form.
+
+    Each term w^e*c gives c components of the e+1 levels 0..e; the last
+    component's top level holds only gamma itself, except for gamma = 1.
+    """
+    total = sum(coeff * (exp + 1) for exp, coeff in gamma.terms)
+    return total if gamma.is_zero() or gamma == ONE else total - 1
+
+
 def class_size(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
     """Exact size of a class, with None meaning infinite."""
     if not is_valid_class(gamma, cid):

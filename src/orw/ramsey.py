@@ -6,6 +6,10 @@ module verifies witnesses exhaustively, computes R(n,3) for n <= 4 by
 isomorph-free exhaustive search, ships verified circulant witnesses for
 n = 3, 4, 5, and loads larger values from a versioned table with explicit
 provenance flags.
+
+The search (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998) runs upward once, extending each order's survivors by one vertex and
+keeping one graph per canonical form, on adjacency bitmasks throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -108,25 +112,25 @@ def _find_triangle(g: WitnessGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _independent_set(masks, within: int,
+                     size: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically first independent set of the given size among
+    the vertices of the mask `within`, or None (always, for a negative size).
+    """
+    if size <= 0:
+        return () if size == 0 else None
+    while within.bit_count() >= size:
+        low = within & -within
+        within ^= low
+        v = low.bit_length() - 1
+        rest = _independent_set(masks, within & ~masks[v], size - 1)
+        if rest is not None:
+            return (v,) + rest
+    return None
+
+
 def _find_independent_set(g: WitnessGraph, size: int) -> Optional[tuple[int, ...]]:
-    masks = g.adjacency_masks()
-
-    def extend(chosen: list[int], banned: int, start: int):
-        if len(chosen) == size:
-            return tuple(chosen)
-        for v in range(start, g.order):
-            if g.order - v < size - len(chosen):
-                return None
-            if banned >> v & 1:
-                continue
-            got = extend(chosen + [v], banned | masks[v], v + 1)
-            if got is not None:
-                return got
-        return None
-
-    if size == 0:
-        return ()
-    return extend([], 0, 0)
+    return _independent_set(g.adjacency_masks(), (1 << g.order) - 1, size)
 
 
 def verify_witness(g: WitnessGraph, n: int) -> WitnessReport:
@@ -143,40 +147,52 @@ def verify_witness(g: WitnessGraph, n: int) -> WitnessReport:
 # -- isomorph-free exhaustive search ----------------------------------------
 
 
-def canonical_form(g: WitnessGraph) -> tuple[int, ...]:
-    """Lexicographically least row-by-row adjacency bit string over orderings.
+def _canonical_bits(masks, order: int) -> int:
+    """canonical_form as one int whose most significant bit comes first.
 
-    Vertices are placed one at a time; each candidate contributes the bits of
-    its adjacency to the already-placed vertices, and only candidates whose
-    next row is minimal are branched on, which is exact for the minimum.
+    Every unplaced vertex carries its row key, the adjacency bits to the
+    placed vertices in placement order, as an int grown by one bit per
+    placement; keys of one step have equal length, so comparing them as ints
+    is comparing the rows lexicographically.
     """
-    masks = g.adjacency_masks()
-    n = g.order
-    best: Optional[tuple[int, ...]] = None
+    total = order * (order - 1) // 2
+    best: Optional[int] = None
 
-    def rows_key(v: int, placed: list[int]) -> tuple[int, ...]:
-        return tuple((masks[v] >> p) & 1 for p in placed)
-
-    def rec(placed: list[int], acc: tuple[int, ...], remaining: frozenset[int]):
+    def rec(keys: list[tuple[int, int]], acc: int, placed: int, length: int):
         nonlocal best
-        if not remaining:
+        if not keys:
             if best is None or acc < best:
                 best = acc
             return
-        options = [(rows_key(v, placed), v) for v in remaining]
-        least = min(k for k, _ in options)
-        cand = acc + least
-        if best is not None and cand > best[:len(cand)]:
+        least = min(key for _, key in keys)
+        acc = acc << placed | least
+        length += placed
+        if best is not None and acc > best >> (total - length):
             return
-        for key, v in options:
+        for v, key in keys:
             if key == least:
-                rec(placed + [v], cand, remaining - {v})
+                rec([(u, ku << 1 | masks[u] >> v & 1)
+                     for u, ku in keys if u != v], acc, placed + 1, length)
 
-    rec([], (), frozenset(range(n)))
-    return best if best is not None else ()
+    rec([(v, 0) for v in range(order)], 0, 0, 0)
+    return best
 
 
-def _independent_subsets(masks: list[int], k: int) -> Iterator[int]:
+def canonical_form(g: WitnessGraph) -> tuple[int, ...]:
+    """Lexicographically least row-by-row adjacency bit string over orderings.
+
+    Row i holds the adjacency bits of the i-th vertex to the i earlier ones.
+    Vertices are placed one at a time, and only candidates whose next row is
+    minimal are branched on, which is exact for the minimum; a branch whose
+    prefix already exceeds the best string's is cut.  The search runs on
+    adjacency masks and int prefixes (`_canonical_bits`).
+    """
+    total = g.order * (g.order - 1) // 2
+    bits = _canonical_bits(g.adjacency_masks(), g.order)
+    return tuple(bits >> i & 1 for i in range(total - 1, -1, -1))
+
+
+def _independent_subsets(masks, k: int) -> Iterator[int]:
     """All subsets of 0..k-1 that are independent, as bitmasks."""
 
     def extend(mask: int, banned: int, start: int):
@@ -188,31 +204,50 @@ def _independent_subsets(masks: list[int], k: int) -> Iterator[int]:
     yield from extend(0, 0, 0)
 
 
+def _levels(n: int) -> Iterator[dict[int, tuple[int, ...]]]:
+    """The survivors of orders 1, 2, ...: one representative per
+    isomorphism class, as adjacency masks keyed by `_canonical_bits`.
+
+    Survivors are the triangle-free graphs with no independent n-set; with
+    n >= 1 the empty graph of order 0 is one.  Each order-k survivor is
+    extended once, by a vertex k joined to each of its independent sets in
+    turn (so no triangle appears).  The survivor had no independent n-set,
+    so the extension has one exactly when vertex k's non-neighbours hold an
+    independent (n-1)-set.  The first representative found for a canonical
+    form is kept.  Stops after the first empty level.
+    """
+    level: dict[int, tuple[int, ...]] = {0: ()}
+    k = 0
+    while level:
+        below = (1 << k) - 1
+        nxt: dict[int, tuple[int, ...]] = {}
+        for masks in level.values():
+            for nb in _independent_subsets(masks, k):
+                if _independent_set(masks, below & ~nb, n - 1) is not None:
+                    continue
+                new = tuple(m | (nb >> v & 1) << k
+                            for v, m in enumerate(masks)) + (nb,)
+                nxt.setdefault(_canonical_bits(new, k + 1), new)
+        yield nxt
+        level = nxt
+        k += 1
+
+
 def search_witnesses(order: int, n: int,
                      limit: Optional[int] = None) -> list[WitnessGraph]:
     """Non-isomorphic triangle-free graphs of given order with no independent
-    n-set, by vertex-by-vertex extension with canonical-form rejection."""
-    level: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-    for k in range(order):
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for masks in level.values():
-            ext = list(masks)
-            for nb in _independent_subsets(list(masks), k):
-                new_masks = [m | ((nb >> v & 1) << k) for v, m in enumerate(ext)]
-                new_masks.append(nb)
-                g = _graph_from_masks(k + 1, new_masks)
-                if _find_independent_set(g, n) is not None:
-                    continue
-                nxt.setdefault(canonical_form(g), tuple(new_masks))
-        level = nxt
-        if not level:
-            return []
-    out = [_graph_from_masks(order, list(m)) for m in level.values()]
-    out.sort(key=canonical_form)
-    return out if limit is None else out[:limit]
+    n-set, sorted by canonical form, by vertex-by-vertex extension with
+    canonical-form rejection (`_levels`)."""
+    if n < 1:
+        raise RamseyError(f"the search needs n >= 1, got {n}")
+    level: dict[int, tuple[int, ...]] = {0: ()}
+    for level in islice(_levels(n), order):
+        pass
+    return [_graph_from_masks(order, level[key])
+            for key in sorted(level)[:limit]]
 
 
-def _graph_from_masks(order: int, masks: list[int]) -> WitnessGraph:
+def _graph_from_masks(order: int, masks) -> WitnessGraph:
     pairs = [(a, b) for a in range(order) for b in range(a + 1, order)
              if masks[a] >> b & 1]
     return WitnessGraph.from_pairs(order, pairs)
@@ -236,20 +271,21 @@ class RamseyRecord:
 def brute_force_ramsey(n: int) -> RamseyRecord:
     """Exact R(n,3) for n in {2,3,4}: the least order admitting no witness.
 
-    Searches orders upward; at each order the isomorph-free survivors are the
-    triangle-free graphs with independence number < n, so the first empty
-    order is the value and any survivor one below is an extremal witness.
+    Takes the levels of one upward search (`_levels`): the survivors of an
+    order are the triangle-free graphs with independence number < n, so the
+    first empty order is the value, and the survivor with the least
+    canonical form one order below is the extremal witness returned (the
+    first graph `search_witnesses` lists for that order).
     """
     if n not in (2, 3, 4):
         raise RamseyError(f"exact search supports n in 2..4, got {n}")
-    previous: list[WitnessGraph] = []
-    order = 1
-    while True:
-        found = search_witnesses(order, n)
-        if not found:
-            return RamseyRecord(n, order, previous[0], "computed")
-        previous = found
-        order += 1
+    previous: dict[int, tuple[int, ...]] = {}
+    for order, level in enumerate(_levels(n), start=1):
+        if not level:
+            return RamseyRecord(n, order, _graph_from_masks(
+                order - 1, previous[min(previous)]), "computed")
+        previous = level
+    raise AssertionError("unreachable: the search ends on an empty level")
 
 
 # -- builtin witnesses and the value table -----------------------------------

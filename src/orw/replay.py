@@ -29,7 +29,9 @@ __all__ = [
     "ClauseSystem",
     "instantiate_clauses",
     "catalogue_size",
+    "space_size",
     "MAX_CLAUSES",
+    "MAX_VARIABLES",
     "decide",
     "replay_theorem",
     "resolve_k",
@@ -46,6 +48,7 @@ SCHEMAS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10",
            "C11", "C12", "C13", "C14")
 REDUNDANT_SCHEMAS = ("C4", "C10")
 MAX_CLAUSES = 1_000_000  # larger catalogues are refused before any is built
+MAX_VARIABLES = 100_000  # larger variable spaces are refused unbuilt
 
 
 def replay_gamma(n: int, k: int) -> Ordinal:
@@ -60,6 +63,15 @@ def _check_parameters(n: int, k: int) -> None:
         raise OrdinalError(f"replay needs K >= 2, got {k}")
 
 
+def space_size(n: int, k: int) -> int:
+    """The number of variables `VariableSpace(n, k)` assigns: two hats per
+    squared component, and one tilde per pair of the 3n+2K classes that lie
+    in distinct components (a squared component has 3 inner pairs, a limit
+    component 1)."""
+    _check_parameters(n, k)
+    return 2 * n + comb(3 * n + 2 * k, 2) - 3 * n - k
+
+
 class VariableSpace:
     """Boolean variables for the color table of [0, w^2*n + w*K + 1).
 
@@ -71,7 +83,11 @@ class VariableSpace:
     """
 
     def __init__(self, n: int, k: int):
-        _check_parameters(n, k)
+        size = space_size(n, k)
+        if size > MAX_VARIABLES:
+            raise OrdinalError(
+                f"the variable space at n={n} K={k} has {size} variables, "
+                f"more than the limit of {MAX_VARIABLES}")
         self.n = n
         self.k = k
         self.gamma = replay_gamma(n, k)

@@ -10,7 +10,7 @@ share no code with the solver they check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
 from orw.ordinals import Ordinal, star_less
@@ -85,6 +85,18 @@ def f_members_recursive(c: int, r: int, m: int,
         level = {b for b, p in parents.items()
                  if b.l_count() > r and b < top and p in level}
     return sorted(level)
+
+
+def canonical_form_oracle(order: int, edges) -> tuple[int, ...]:
+    """The least row-by-row adjacency bit string over all vertex orderings.
+
+    Row i holds the adjacency bits of the i-th vertex to the i earlier ones;
+    every one of the order! orderings is tried.
+    """
+    adjacent = {frozenset(e) for e in edges}
+    return min(tuple(int(frozenset((p[i], p[j])) in adjacent)
+                     for i in range(order) for j in range(i))
+               for p in permutations(range(order)))
 
 
 def truth_table_status(clauses: Sequence[Sequence[int]],

@@ -1,6 +1,8 @@
 """Tests for the command-line surface: outputs, exit codes, file I/O."""
 
+import gc
 import hashlib
+import io
 import json
 import time
 
@@ -189,6 +191,17 @@ class TestUpper:
         assert "clauses, more than the limit" in r.output
         assert not any(tmp_path.rglob("never-written*"))
 
+    def test_oversized_space_refused_before_building(self, runner):
+        # with every schema dropped the catalogue is empty, but the
+        # (2000, 3 999 996) space would hold about 3.2e13 variables
+        start = time.perf_counter()
+        drops = [arg for i in range(1, 15) for arg in ("--drop", f"C{i}")]
+        r = invoke(runner, ["upper", "replay", "-n", "2000", "--k", "square",
+                            *drops])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2
+        assert "variables, more than the limit" in r.output
+
     def test_budget_exhaustion(self, runner):
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
                             "--budget", "5"])
@@ -230,6 +243,18 @@ class TestRamsey:
         r = invoke(runner, ["ramsey", "brute", "-n", "3", "--json"])
         doc = json.loads(r.output)
         assert doc["order"] == 5 and len(doc["edges"]) == 5
+
+    @pytest.mark.parametrize("n,digest", [
+        (2, "2d19a818ff3619a29f41637576879c6737e0ee67934c721dd7b3ccdb413d82ea"),
+        (3, "830399d25eb466b9f7df3cfafdf141f0de395e49b501173df6d7a3f11306ee0a"),
+        (4, "f5bc6f0632496efb64865899546a7ccd35fb18460c4ab199711077f0cd112d7a"),
+    ])
+    def test_brute_json_bytes_are_pinned(self, runner, n, digest):
+        # the witness is the first survivor the search keeps for the least
+        # canonical form, so these bytes pin the search order too
+        r = invoke(runner, ["ramsey", "brute", "-n", str(n), "--json"])
+        assert r.exit_code == 0
+        assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
 
     def test_export_then_verify(self, runner, tmp_path):
         p = tmp_path / "w4.json"
@@ -346,3 +371,33 @@ class TestColoring:
     def test_usage_error_from_click(self, runner):
         r = invoke(runner, ["coloring", "decide", "/nonexistent", "-n", "3"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("gamma", ["w^2*100000", "w^100000"])
+    def test_oversized_gamma_refused_before_building(self, runner, tmp_path,
+                                                     gamma):
+        # 299 999 and 100 000 node classes, counted from the terms
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"gamma": gamma}))
+        start = time.perf_counter()
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2
+        assert "node classes, more than the limit" in r.output
+
+
+def _live_runner_streams() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, io.TextIOWrapper)
+               and type(o).__module__ == "click.testing")
+
+
+def test_runs_leave_no_stream_behind(runner):
+    # every echo goes to an explicitly fetched stream: click's own default
+    # caches one wrapper per CliRunner invocation and never frees it
+    invoke(runner, ["bounds", "--json"])
+    before = _live_runner_streams()
+    for _ in range(30):
+        assert invoke(runner, ["bounds", "--json"]).exit_code == 0
+    assert invoke(runner, ["bounds", "--nmax", "2"]).exit_code == 2
+    assert _live_runner_streams() == before

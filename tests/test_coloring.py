@@ -9,6 +9,7 @@ import pytest
 
 from orw.coloring import (
     BLUE,
+    MAX_CLASSES,
     RED,
     CopyCertificate,
     QuotientColoring,
@@ -139,6 +140,17 @@ class TestBuildAndColorOf:
         with pytest.raises(OrdinalError):
             QuotientColoring.build(
                 "w^2", cross={((1, 0), (1, 1)): 1, ((1, 1), (1, 0)): 0})
+
+    def test_oversized_gamma_is_refused(self):
+        # far above every shipped coloring (36 classes at the n = 5 lower
+        # bound); the refusal comes from the counted classes, before any
+        # table (w^2*100000 would need about 4.5e10 class pairs)
+        spec = build_partition(5, relabel_red_prefix(builtin_record(5)))
+        assert len(induced_lower_coloring(build_gn(spec)).within) == 36
+        assert 36 * 20 < MAX_CLASSES
+        for gamma in ("w^2*334", "w^2*100000", "w^100000"):
+            with pytest.raises(OrdinalError, match="node classes"):
+                QuotientColoring.build(gamma)
 
     def test_json_round_trip(self):
         c = QuotientColoring.build(

@@ -12,6 +12,7 @@ from orw.ordinals import (
     Ordinal,
     OrdinalError,
     OrdinalParseError,
+    class_count,
     class_member,
     class_size,
     classify,
@@ -410,6 +411,14 @@ def test_partition_property_on_samples():
         for other in valid_classes(g):
             if other != cid:
                 assert not node_class(g, other).contains(a)
+
+
+def test_class_count_matches_valid_classes():
+    for g in all_ordinals(3, 3):
+        assert class_count(g) == len(valid_classes(g)), g
+    # counted from the terms alone: no list as long as the coefficients
+    assert class_count(o("w^2*100000")) == 299_999
+    assert class_count(o("w^100000")) == 100_000
 
 
 def test_valid_classes_census():

@@ -1,5 +1,6 @@
 """Tests for triangle-free Ramsey witnesses, search, and the value table."""
 
+import hashlib
 import json
 import random
 import time
@@ -7,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import canonical_form_oracle
 from orw.ramsey import (
     RamseyError,
     RamseyRecord,
@@ -118,6 +120,62 @@ class TestCanonicalForm:
         star = WitnessGraph.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
         assert canonical_form(path) != canonical_form(star)
 
+    def test_matches_oracle_on_random_graphs(self):
+        rng = random.Random(1998)
+        for order in range(8):
+            for density in (0.2, 0.4, 0.6, 0.8):
+                pairs = [p for p in combinations(range(order), 2)
+                         if rng.random() < density]
+                g = WitnessGraph.from_pairs(order, pairs)
+                assert canonical_form(g) == \
+                    canonical_form_oracle(order, g.edges), (order, pairs)
+
+    def test_matches_oracle_on_every_survivor_for_3(self):
+        for order in range(1, 6):
+            for g in search_witnesses(order, 3):
+                assert canonical_form(g) == \
+                    canonical_form_oracle(order, g.edges), g
+
+
+# (n, order) -> (survivor count, sha256 of the repr of their canonical forms,
+# sha256 of the repr of their sorted edge lists), in search_witnesses order
+SEARCH_PINS = {
+    (3, 1): (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+              "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"),
+    (3, 2): (2, "cde8a43d1e27e69a0ef66e61fcbfe02dec4893775b4d36e679382ff36d7b9ed6",
+              "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976"),
+    (3, 3): (2, "bdbd7b81748c3928a3afcb5923dbcf0c52ecc6fab170b3bab9c234a755202b6d",
+              "d6b9379cb5a0bc22043b9db514cdf295c55dfa08cfe6df08a2a65712502c29aa"),
+    (3, 4): (3, "ede5c4120b72358c260a2fccee79deebdd3af3b31ead36c18760d74ce2d7c4c7",
+              "89ded26041a6747d5daf343cbf5b935789c7689f8ea341a1dc443727be427239"),
+    (3, 5): (1, "a55a2f104b9f12709f51c57cccd854edb3a50f82f68c48021d14a2322cae0f89",
+              "2fed458f1e8036073dbed1d5aea240262733ea051f058c2fabe2453a843908de"),
+    (3, 6): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (4, 1): (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+              "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"),
+    (4, 2): (2, "cde8a43d1e27e69a0ef66e61fcbfe02dec4893775b4d36e679382ff36d7b9ed6",
+              "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976"),
+    (4, 3): (3, "b08a408595a7e765af1e076efdbe47629dbb6b2b62392e584b179549642be18b",
+              "2c31ebfc20a4b6b945d9fe96e4c99c5270ff0e4cd71d058bd36a6fcc99840249"),
+    (4, 4): (6, "c3d064c2000ce7314c238fb969b9c26937b4e80c94100378272c08178b8dc815",
+              "bae7b72c59cff25a935b5b2a7ade1cd76db50183017cd54c579dcddeaeed8c94"),
+    (4, 5): (9, "12a5c62eb30c173702a4ad8ac459e2607e5ce008393a2aa624465f378e40c830",
+              "0c0ade861ddb20a9ab3e3fc48c7e06190686f355469fe8e63498dee16a100055"),
+    (4, 6): (15, "b0de53172e90547aabd5f6db04f74c22e828dbe550cbed904877343ef2ae62b7",
+              "063f839344d6888b13dc46f215b8e9bbe4443cb17c9702962a53d23d4d226fb0"),
+    (4, 7): (9, "23f0287ebdf5d18cff2c964f7913d85d83dbf0db6ae40f4582eaa5aabdd3ae4c",
+              "2d65c7d68ed548fabefc9e601465e3970218a0a39d47a3daa0fedd822e24607f"),
+    (4, 8): (3, "8a12667b6f67d2e606edf7d345dfd0f67a9eef23361453ea050142559a5bda51",
+              "6b1331f970d96b09b7c0b988a60978d5d936fd09a2467f501b11e2ac8ff67150"),
+    (4, 9): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+}
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
 
 class TestSearch:
     def test_unique_extremal_graph_for_3(self):
@@ -131,6 +189,23 @@ class TestSearch:
 
     def test_limit_short_circuits(self):
         assert len(search_witnesses(5, 3, limit=1)) == 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_survivors_are_pinned(self, n):
+        # orders 1..R(n,3): the last one is empty
+        for order in sorted(k for m, k in SEARCH_PINS if m == n):
+            found = search_witnesses(order, n)
+            count, forms, graphs = SEARCH_PINS[(n, order)]
+            assert len(found) == count, order
+            assert _sha([canonical_form(g) for g in found]) == forms, order
+            assert _sha([sorted(g.edges) for g in found]) == graphs, order
+
+    def test_empty_order_and_small_n(self):
+        assert search_witnesses(0, 3) == [WitnessGraph(0, frozenset())]
+        # every vertex is an independent 1-set
+        assert search_witnesses(1, 1) == []
+        with pytest.raises(RamseyError):
+            search_witnesses(3, 0)
 
 
 class TestBruteForce:

@@ -11,6 +11,7 @@ from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
     MAX_CLAUSES,
+    MAX_VARIABLES,
     ClauseSystem,
     VariableSpace,
     assignment_from_coloring,
@@ -20,6 +21,7 @@ from orw.replay import (
     instantiate_clauses,
     model_tables,
     replay_theorem,
+    space_size,
 )
 from orw.solver import (
     RESTART_UNIT,
@@ -262,6 +264,24 @@ class TestVariableSpace:
             VariableSpace(2, 7)
         with pytest.raises(OrdinalError):
             VariableSpace(3, 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_space_size_is_exact(self, n):
+        for k in range(2, 10):
+            assert space_size(n, k) == VariableSpace(n, k).num_vars, (n, k)
+
+    def test_oversized_space_is_refused(self):
+        # the paper's (5,21) system and the (7,45) square-K space stay
+        # allowed; a K that only a run dropping the large schemas reaches
+        # is refused from its closed-form size, before any entry is built
+        assert space_size(5, 21) == 1_570
+        assert space_size(7, 45) == 6_053 <= MAX_VARIABLES
+        assert space_size(3, 300) == 184_833 > MAX_VARIABLES
+        with pytest.raises(OrdinalError, match="variables, more than"):
+            VariableSpace(3, 300)
+        assert catalogue_size(3, 300, ("C8", "C12", "C13")) <= MAX_CLAUSES
+        with pytest.raises(OrdinalError, match="variables, more than"):
+            instantiate_clauses(3, 300, ("C8", "C12", "C13"))
 
 
 class TestInstantiation:
