@@ -26,7 +26,7 @@ from .coloring import (
     check_certificate,
 )
 from .lowerbound import build_gn, build_partition, export_dot, verify_lower_bound
-from .ordinals import Ordinal, OrdinalError, parse
+from .ordinals import Ordinal, OrdinalError, SizeLimitError, parse
 from .ramsey import (
     RamseyError,
     TableEntry,
@@ -92,6 +92,8 @@ def _read(path: str) -> str:
 def _load_coloring(path: str):
     try:
         return coloring_from_json(_read(path))
+    except SizeLimitError:
+        raise  # well-formed, refused for its size: its own message says so
     except (KeyError, TypeError, ValueError) as exc:
         raise OrdinalError(f"malformed coloring file: {exc!r}")
 

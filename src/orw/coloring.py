@@ -12,8 +12,9 @@ small homogeneous closed copies are all exactly decidable by finite searches.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .ordinals import (
@@ -22,12 +23,13 @@ from .ordinals import (
     NodeClassId,
     Ordinal,
     OrdinalError,
+    SizeLimitError,
     class_members_above,
     class_members_toward,
     class_size,
     class_count,
     classify,
-    expansion,
+    component_count,
     is_valid_class,
     node_class,
     parse,
@@ -126,7 +128,7 @@ class QuotientColoring:
             raise OrdinalError("coloring needs a nonzero gamma")
         count = class_count(g)
         if count > MAX_CLASSES:
-            raise OrdinalError(
+            raise SizeLimitError(
                 f"gamma {g} has {count} node classes, more than the limit "
                 f"of {MAX_CLASSES}")
         classes = valid_classes(g)
@@ -260,15 +262,9 @@ def is_normal(c: QuotientColoring) -> NormalReport:
         expected = c.class_pair_color(classify(c.gamma, x), classify(c.gamma, y))
         if c.overrides[(x, y)] != expected:
             return NormalReport(False, None, (x, y))
-    exps = expansion(c.gamma)
-    entries: dict[tuple[int, int, int], Color] = {}
-    for i, top in enumerate(exps, start=1):
-        for j2 in range(1, top + 1):
-            if not is_valid_class(c.gamma, NodeClassId(i, j2)):
-                continue
-            for j1 in range(j2):
-                entries[(i, j2, j1)] = c.cross[
-                    _class_key(NodeClassId(i, j1), NodeClassId(i, j2))]
+    entries = {(b.index, b.level, j1):
+               c.cross[_class_key(NodeClassId(b.index, j1), b)]
+               for b in valid_classes(c.gamma) for j1 in range(b.level)}
     return NormalReport(True, NormalTable(c.gamma, entries), None)
 
 
@@ -313,7 +309,7 @@ def extract_canonical_table(c: QuotientColoring) -> CanonicalTable:
 
 
 def _component_tops(gamma: Ordinal) -> list[Ordinal]:
-    return [partial_sum(gamma, i) for i in range(1, len(expansion(gamma)))]
+    return [partial_sum(gamma, i) for i in range(1, component_count(gamma))]
 
 
 @dataclass(frozen=True)
@@ -543,7 +539,9 @@ def _limit_candidates(c: QuotientColoring,
     for each infinite class of level >= 1, one untouched member in each gap
     between consecutive explicit points — members of one class in one gap see
     the same classes accumulating below and the same points available above,
-    so one representative per (class, gap) suffices.
+    so one representative per (class, gap) suffices.  A class lies strictly
+    inside its component (base, top), so only the gaps that meet that
+    interval are walked, each up to its first usable member.
     """
     touched = c.touched()
     out = {p for p in explicit if p.cb_rank() >= 1}
@@ -552,10 +550,12 @@ def _limit_candidates(c: QuotientColoring,
     for cid in valid_classes(c.gamma):
         if cid.level < 1 or class_size(c.gamma, cid) is not None:
             continue
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first = bisect_right(explicit, partial_sum(c.gamma, cid.index - 1))
+        last = bisect_left(explicit, partial_sum(c.gamma, cid.index))
+        for lo, hi in zip(bounds[first:last + 1], bounds[first + 1:last + 2]):
             view = (node_class(c.gamma, cid) if lo is None
                     else class_members_above(c.gamma, cid, lo))
-            for x in view.enumerate(skip):
+            for x in islice(view, skip):
                 if hi is not None and not x < hi:
                     break
                 if x not in touched and x not in out:

@@ -19,6 +19,10 @@ class OrdinalError(ValueError):
     pass
 
 
+class SizeLimitError(OrdinalError):
+    """A well-formed input refused for its size, before anything is built."""
+
+
 class OrdinalParseError(OrdinalError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -278,8 +282,9 @@ class BoundedEnumeration:
 
     @staticmethod
     def of(*members: Ordinal) -> "BoundedEnumeration":
-        fixed = sorted(set(members))
-        return BoundedEnumeration(lambda x: x in set(fixed), lambda: iter(fixed))
+        members_set = frozenset(members)
+        fixed = sorted(members_set)
+        return BoundedEnumeration(members_set.__contains__, lambda: iter(fixed))
 
     @staticmethod
     def empty() -> "BoundedEnumeration":
@@ -470,29 +475,50 @@ class NodeClassId(NamedTuple):
     level: int
 
 
-def expansion(gamma: Ordinal) -> list[int]:
-    """Exponents of gamma written with all coefficients 1, leading first."""
-    exps: list[int] = []
-    for exp, coeff in gamma.terms:
-        exps.extend([exp] * coeff)
-    return exps
+def component_count(gamma: Ordinal) -> int:
+    """The number of components: gamma's terms written with coefficient 1,
+    w^e*c as c copies of w^e, so the sum of gamma's coefficients."""
+    return sum(coeff for _, coeff in gamma.terms)
+
+
+def _component_exp(gamma: Ordinal, i: int) -> Optional[int]:
+    """The exponent of the i-th coefficient-1 term; None when out of range."""
+    if i >= 1:
+        for exp, coeff in gamma.terms:
+            if i <= coeff:
+                return exp
+            i -= coeff
+    return None
 
 
 def partial_sum(gamma: Ordinal, k: int) -> Ordinal:
-    """Sum of the first k coefficient-1 terms of gamma (k = 0 gives 0)."""
-    exps = expansion(gamma)
-    if k < 0 or k > len(exps):
+    """Sum of the first k coefficient-1 terms of gamma (k = 0 gives 0).
+
+    In closed form: the whole terms w^e*c of gamma that the first k
+    components cover, then w^e*r for the r < c components taken from the
+    next term.
+    """
+    if k < 0 or k > component_count(gamma):
         raise OrdinalError(f"index {k} out of range for {gamma}")
-    total = ZERO
-    for e in exps[:k]:
-        total = total + Ordinal.omega_power(e)
-    return total
+    terms = []
+    for exp, coeff in gamma.terms:
+        if k < coeff:
+            if k:
+                terms.append((exp, k))
+            break
+        terms.append((exp, coeff))
+        k -= coeff
+    return Ordinal(tuple(terms))
 
 
 def cnf_index(gamma: Ordinal, alpha: Ordinal) -> int:
     """Least k with alpha at most the k-th coefficient-1 partial sum of gamma.
 
-    alpha = 0 is assigned index 1.
+    alpha = 0 is assigned index 1.  In closed form: let alpha and gamma share
+    their first terms, covering C components of gamma.  If alpha ends there
+    (alpha = gamma included) the index is C.  Otherwise alpha's next term
+    w^e*c is below gamma's next term w^e'*c': the index is C + 1 when
+    e < e', and C + c when e = e' (plus 1 when alpha has further terms).
     """
     if gamma.is_zero():
         raise OrdinalError("no components for 0")
@@ -500,12 +526,14 @@ def cnf_index(gamma: Ordinal, alpha: Ordinal) -> int:
         raise OrdinalError(f"{alpha} exceeds {gamma}")
     if alpha.is_zero():
         return 1
-    total = ZERO
-    for k, e in enumerate(expansion(gamma), start=1):
-        total = total + Ordinal.omega_power(e)
-        if alpha <= total:
-            return k
-    raise AssertionError("unreachable: alpha <= gamma")
+    shared = 0
+    for pos, (term, (exp, coeff)) in enumerate(zip(alpha.terms, gamma.terms)):
+        if term != (exp, coeff):
+            if term[0] < exp:
+                return shared + 1
+            return shared + term[1] + (pos + 1 < len(alpha.terms))
+        shared += coeff
+    return shared
 
 
 def classify(gamma: Ordinal, alpha: Ordinal) -> NodeClassId:
@@ -516,25 +544,28 @@ def classify(gamma: Ordinal, alpha: Ordinal) -> NodeClassId:
 
 def is_valid_class(gamma: Ordinal, cid: NodeClassId) -> bool:
     """True iff the class is nonempty as a subset of [0, gamma)."""
-    exps = expansion(gamma)
-    n = len(exps)
     i, j = cid.index, cid.level
-    if not (1 <= i <= n) or not (0 <= j <= exps[i - 1]):
+    top_exp = _component_exp(gamma, i)
+    if top_exp is None or not 0 <= j <= top_exp:
         return False
-    if i == n and j == exps[n - 1]:
+    if j == top_exp and i == component_count(gamma):
         # the only candidate member is gamma itself, which is excluded --
         # except for gamma = 1 where 0 still belongs to class (1, 0)
-        return i == 1 and j == 0 and gamma == ONE
+        return gamma == ONE
     return True
 
 
 def valid_classes(gamma: Ordinal) -> list[NodeClassId]:
+    """Every (index, level) with level at most the component's exponent,
+    except the last component's top level (unless gamma = 1)."""
     out = []
-    for i, e in enumerate(expansion(gamma), start=1):
-        for j in range(e + 1):
-            cid = NodeClassId(i, j)
-            if is_valid_class(gamma, cid):
-                out.append(cid)
+    i = 0
+    for exp, coeff in gamma.terms:
+        for _ in range(coeff):
+            i += 1
+            out.extend(NodeClassId(i, j) for j in range(exp + 1))
+    if out and gamma != ONE:
+        out.pop()
     return out
 
 
@@ -552,13 +583,12 @@ def class_size(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
     """Exact size of a class, with None meaning infinite."""
     if not is_valid_class(gamma, cid):
         raise OrdinalError(f"invalid class {cid} for {gamma}")
-    exps = expansion(gamma)
     i, j = cid.index, cid.level
-    if j < exps[i - 1]:
+    if j < _component_exp(gamma, i):
         return None
     # j equals the component exponent: the single top point, plus 0 for (1,0)
     bonus = 1 if (i == 1 and j == 0) else 0
-    if i == len(exps) and j == exps[i - 1]:
+    if i == component_count(gamma):
         return bonus  # top point is gamma itself, excluded
     return 1 + bonus
 
@@ -567,10 +597,9 @@ def node_class(gamma: Ordinal, cid: NodeClassId) -> BoundedEnumeration:
     """The members of a class, increasing; exact membership via classify."""
     if not is_valid_class(gamma, cid):
         raise OrdinalError(f"invalid class {cid} for {gamma}")
-    exps = expansion(gamma)
     i, j = cid.index, cid.level
     base = partial_sum(gamma, i - 1)
-    top_exp = exps[i - 1]
+    top_exp = _component_exp(gamma, i)
 
     def contains(x: Ordinal) -> bool:
         return x < gamma and classify(gamma, x) == cid
@@ -603,10 +632,9 @@ def class_members_above(gamma: Ordinal, cid: NodeClassId,
                         bound: Ordinal) -> BoundedEnumeration:
     """Members of the class strictly above `bound`, in increasing order."""
     full = node_class(gamma, cid)
-    exps = expansion(gamma)
     i, j = cid.index, cid.level
     base = partial_sum(gamma, i - 1)
-    top_exp = exps[i - 1]
+    top_exp = _component_exp(gamma, i)
 
     def contains(x: Ordinal) -> bool:
         return x > bound and full.contains(x)

@@ -19,7 +19,13 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .coloring import QuotientColoring
-from .ordinals import NodeClassId, Ordinal, OrdinalError, valid_classes
+from .ordinals import (
+    NodeClassId,
+    Ordinal,
+    OrdinalError,
+    SizeLimitError,
+    valid_classes,
+)
 from .ramsey import RamseyRecord, TableEntry, ramsey_value
 from .solver import SolveResult, check_trace, solve
 
@@ -85,7 +91,7 @@ class VariableSpace:
     def __init__(self, n: int, k: int):
         size = space_size(n, k)
         if size > MAX_VARIABLES:
-            raise OrdinalError(
+            raise SizeLimitError(
                 f"the variable space at n={n} K={k} has {size} variables, "
                 f"more than the limit of {MAX_VARIABLES}")
         self.n = n
@@ -198,17 +204,41 @@ class ClauseSystem:
         }, indent=2)
 
 
-def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
+def _comb_past(m: int, r: int, limit: int) -> int:
+    """comb(m, r), or the first comb(m, i), i <= r, that passes `limit`.
+
+    With r replaced by min(r, m - r), comb(m, i) grows with i up to r, so
+    an early answer is a lower bound of comb(m, r) that passes `limit`.
+    """
+    r = min(r, m - r)
+    if r < 0:
+        return 0
+    c = 1
+    for i in range(r):
+        c = c * (m - i) // (i + 1)
+        if c > limit:
+            break
+    return c
+
+
+def catalogue_size(n: int, k: int, drop: tuple[str, ...] = (),
+                   limit: Optional[int] = None) -> int:
     """The number of clauses `instantiate_clauses(n, k, drop)` builds.
 
     Each term counts one schema's loops below.  The space has n squared
     components of three classes and k limit components of two, and
-    sources(k0) yields 2(n-k0)+k classes.
+    sources(k0) yields 2(n-k0)+k classes.  With a `limit`, counting stops
+    once C8's largest summand passes it, and the result is then only a
+    lower bound above `limit`: C8's exact count grows like comb(n+K, n).
     """
     for s in drop:
         if s not in SCHEMAS:
             raise ValueError(f"unknown schema {s!r}")
     _check_parameters(n, k)
+    if limit is not None and "C8" not in drop:
+        low = 2 * _comb_past(n + k - 1, n - 1, limit)
+        if low > limit:
+            return low
     classes = 3 * n + 2 * k
     # class triples from three distinct components, by how many are squared
     triples = (27 * comb(n, 3) + 18 * comb(n, 2) * k + 12 * n * comb(k, 2)
@@ -240,13 +270,11 @@ def instantiate_clauses(n: int, k: int,
     `drop` removes whole schemas, for ablation experiments.  A catalogue of
     more than MAX_CLAUSES clauses is refused before anything is built.
     """
-    size = catalogue_size(n, k, drop)
+    size = catalogue_size(n, k, drop, limit=MAX_CLAUSES)
     if size > MAX_CLAUSES:
-        # str() refuses integers of more than 4300 digits
-        shown = size if size < 10**15 else f"about 2^{size.bit_length()}"
-        raise OrdinalError(
-            f"the catalogue at n={n} K={k} has {shown} clauses, more than "
-            f"the limit of {MAX_CLAUSES}")
+        raise SizeLimitError(
+            f"the catalogue at n={n} K={k} has at least {size} clauses, more "
+            f"than the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
     clauses: list[tuple[int, ...]] = []
     tags: list[ClauseTag] = []

@@ -13,7 +13,17 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from orw.ordinals import Ordinal, star_less
+from orw.ordinals import (
+    ONE,
+    ZERO,
+    NodeClassId,
+    Ordinal,
+    class_members_above,
+    class_size,
+    node_class,
+    star_less,
+    valid_classes,
+)
 
 
 def all_ordinals(max_exp: int, max_coeff: int) -> list[Ordinal]:
@@ -85,6 +95,95 @@ def f_members_recursive(c: int, r: int, m: int,
         level = {b for b, p in parents.items()
                  if b.l_count() > r and b < top and p in level}
     return sorted(level)
+
+
+# -- components by coefficient-1 expansion ---------------------------------
+#
+# The component readings as first written: gamma expanded into one
+# exponent per component, partial sums added up term by term.  The closed
+# forms in orw.ordinals read the same answers off the CNF terms.
+
+
+def expansion(gamma: Ordinal) -> list[int]:
+    """Exponents of gamma written with all coefficients 1, leading first."""
+    return [exp for exp, coeff in gamma.terms for _ in range(coeff)]
+
+
+def partial_sum_expanded(gamma: Ordinal, k: int) -> Ordinal:
+    exps = expansion(gamma)
+    assert 0 <= k <= len(exps)
+    total = ZERO
+    for e in exps[:k]:
+        total = total + Ordinal.omega_power(e)
+    return total
+
+
+def cnf_index_expanded(gamma: Ordinal, alpha: Ordinal) -> int:
+    assert not gamma.is_zero() and alpha <= gamma
+    if alpha.is_zero():
+        return 1
+    total = ZERO
+    for k, e in enumerate(expansion(gamma), start=1):
+        total = total + Ordinal.omega_power(e)
+        if alpha <= total:
+            return k
+    raise AssertionError("unreachable: alpha <= gamma")
+
+
+def is_valid_class_expanded(gamma: Ordinal, cid: NodeClassId) -> bool:
+    exps = expansion(gamma)
+    n = len(exps)
+    i, j = cid.index, cid.level
+    if not (1 <= i <= n) or not (0 <= j <= exps[i - 1]):
+        return False
+    if i == n and j == exps[n - 1]:
+        return i == 1 and j == 0 and gamma == ONE
+    return True
+
+
+def valid_classes_expanded(gamma: Ordinal) -> list[NodeClassId]:
+    return [NodeClassId(i, j)
+            for i, e in enumerate(expansion(gamma), start=1)
+            for j in range(e + 1)
+            if is_valid_class_expanded(gamma, NodeClassId(i, j))]
+
+
+def class_size_expanded(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
+    assert is_valid_class_expanded(gamma, cid)
+    exps = expansion(gamma)
+    i, j = cid.index, cid.level
+    if j < exps[i - 1]:
+        return None
+    bonus = 1 if (i == 1 and j == 0) else 0
+    if i == len(exps) and j == exps[i - 1]:
+        return bonus
+    return 1 + bonus
+
+
+def limit_candidates_all_gaps(c, explicit: list[Ordinal]) -> list[Ordinal]:
+    """Limit-point candidates of a quotient coloring, every gap walked.
+
+    For each infinite class of level >= 1 and each gap between consecutive
+    explicit points, the first untouched, not yet chosen member of the
+    class that the gap holds, taken from an eagerly built list of members.
+    """
+    touched = c.touched()
+    out = {p for p in explicit if p.cb_rank() >= 1}
+    skip = len(touched) + len(explicit) + 3
+    bounds: list[Optional[Ordinal]] = [None] + list(explicit) + [None]
+    for cid in valid_classes(c.gamma):
+        if cid.level < 1 or class_size(c.gamma, cid) is not None:
+            continue
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            view = (node_class(c.gamma, cid) if lo is None
+                    else class_members_above(c.gamma, cid, lo))
+            for x in view.enumerate(skip):
+                if hi is not None and not x < hi:
+                    break
+                if x not in touched and x not in out:
+                    out.add(x)
+                    break
+    return sorted(out)
 
 
 def canonical_form_oracle(order: int, edges) -> tuple[int, ...]:

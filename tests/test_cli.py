@@ -177,12 +177,16 @@ class TestUpper:
         ["replay", "-n", "7", "--k", "square"],
         ["export", "-n", "6", "--k", "square", "-o", "never-written"],
         ["replay", "-n", "2000", "--k", "square"],
+        ["replay", "-n", "1000000", "--k", "square"],
+        ["export", "-n", "1000000", "--k", "square", "-o", "never-written"],
     ])
     def test_oversized_catalogue_refused_before_building(self, runner, args,
                                                          tmp_path):
         # (7,45) would hold 177 076 742 clauses, (6,32) 3 816 276 and
         # (2000, 3 999 996) a count of over 4 300 digits; each is refused
-        # from its closed-form size, without building it
+        # from its closed-form size, without building it, and the count
+        # stops once C8 alone passes the limit (its exact comb(n+K, n) at
+        # n = 10^6 would take minutes)
         start = time.perf_counter()
         with runner.isolated_filesystem(temp_dir=tmp_path):
             r = invoke(runner, ["upper", *args])
@@ -364,6 +368,7 @@ class TestColoring:
         r = invoke(runner, ["coloring", "check", str(bad),
                             "--certificate", files["cert"]])
         assert r.exit_code == 2
+        assert r.output == "error: malformed coloring file: KeyError('gamma')\n"
         r = invoke(runner, ["coloring", "check", files["red"],
                             "--certificate", str(bad)])
         assert r.exit_code == 2
@@ -383,6 +388,21 @@ class TestColoring:
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2
         assert "node classes, more than the limit" in r.output
+
+    def test_oversized_gamma_is_not_called_malformed(self, runner, files,
+                                                     tmp_path):
+        # the file is well formed: the refusal prints its own message, not
+        # the malformed-file wrapper with the exception's repr
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"gamma": "w^2*100000"}))
+        for args in (["decide", str(path), "-n", "3"],
+                     ["check", str(path), "--certificate", files["cert"]]):
+            r = invoke(runner, ["coloring", *args])
+            assert r.exit_code == 2
+            assert r.output == ("error: gamma w^2*100000 has 299999 node "
+                                "classes, more than the limit of 1000\n")
+            assert "malformed" not in r.output
+            assert "OrdinalError(" not in r.output
 
 
 def _live_runner_streams() -> int:

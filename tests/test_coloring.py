@@ -4,10 +4,13 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 
 from orw.coloring import (
+    _explicit_points,
+    _limit_candidates,
     BLUE,
     MAX_CLASSES,
     RED,
@@ -44,6 +47,8 @@ from orw.ordinals import (
     valid_classes,
 )
 from orw.ramsey import builtin_record, relabel_red_prefix
+
+from oracles import limit_candidates_all_gaps
 
 
 def witness_coloring_3() -> QuotientColoring:
@@ -634,6 +639,16 @@ class TestCheckCertificate:
 # -- the deciders' exact answers, pinned -------------------------------------
 
 
+def pinned_family() -> Iterator[QuotientColoring]:
+    """The 150 seeded random colorings behind the pinned decider digest."""
+    rng = random.Random(2020)
+    gammas = ["w+3", "w*2+2", "w^2", "w^2+w*2+2", "w^2*3+w*3+2"]
+    for k in range(150):
+        yield random_coloring(rng, gammas[k % 5],
+                              blue_bias=(0.1, 0.3, 0.5)[k // 5 % 3],
+                              max_overrides=(0, 3, 8)[k // 15 % 3])
+
+
 def decider_digest() -> str:
     """sha256 over every certificate (or "none") the two deciders return on
     a seeded random family and on the n = 3, 4, 5 construction colorings."""
@@ -645,12 +660,7 @@ def decider_digest() -> str:
         for cert in answers:
             h.update((certificate_to_json(cert) if cert else "none").encode())
 
-    rng = random.Random(2020)
-    gammas = ["w+3", "w*2+2", "w^2", "w^2+w*2+2", "w^2*3+w*3+2"]
-    for k in range(150):
-        c = random_coloring(rng, gammas[k % 5],
-                            blue_bias=(0.1, 0.3, 0.5)[k // 5 % 3],
-                            max_overrides=(0, 3, 8)[k // 15 % 3])
+    for c in pinned_family():
         feed(c, (1, 2, 3, 4))
     for n in (3, 4, 5):
         spec = build_partition(n, relabel_red_prefix(builtin_record(n)))
@@ -664,6 +674,18 @@ def test_decider_outputs_are_pinned():
     # rule of the clique search shows here
     assert decider_digest() == (
         "d5cd403c635a588ae58f1cc70ac34c97faa94bebbbd3f16c48a3b51178379c50")
+
+
+def test_limit_candidates_walk_only_reachable_gaps():
+    # skipping the gaps outside a class's component, and stopping each walk
+    # at its first usable member, leaves the candidate list unchanged
+    fresh = 0
+    for c in pinned_family():
+        explicit = _explicit_points(c)
+        got = _limit_candidates(c, explicit)
+        assert got == limit_candidates_all_gaps(c, explicit), c.gamma
+        fresh += len(set(got) - set(explicit))
+    assert fresh > 100
 
 
 # -- the two-level dichotomy on omega^2 --------------------------------------

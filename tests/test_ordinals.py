@@ -1,8 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_ordinals, f_members_recursive, immediate_step
+from oracles import (
+    all_ordinals,
+    class_size_expanded,
+    cnf_index_expanded,
+    expansion,
+    f_members_recursive,
+    immediate_step,
+    is_valid_class_expanded,
+    partial_sum_expanded,
+    valid_classes_expanded,
+)
 from orw.ordinals import (
     OMEGA,
     ONE,
@@ -18,7 +30,7 @@ from orw.ordinals import (
     classify,
     cnf_index,
     compare,
-    expansion,
+    component_count,
     f_set,
     is_valid_class,
     node_class,
@@ -150,7 +162,7 @@ def test_component_index():
     assert cnf_index(g, o("w^2+1")) == 2
     assert cnf_index(g, ZERO) == 1
     g2 = o("w^2*3+w*3+2")
-    assert expansion(g2) == [2, 2, 2, 1, 1, 1, 0, 0]
+    assert component_count(g2) == 8
     assert cnf_index(g2, o("w^2*3+w*3+1")) == 7
     assert cnf_index(g2, g2) == 8
     with pytest.raises(OrdinalError):
@@ -432,6 +444,43 @@ def test_valid_classes_census():
     assert sizes[NodeClassId(6, 1)] == 1
     assert sizes[NodeClassId(7, 0)] == 1
     assert sum(1 for s in sizes.values() if s is None) == 3 * 2 + 3 * 1
+
+
+def test_closed_forms_match_the_expansion():
+    # every component reading, read off the CNF terms, against the term-by-
+    # term expansion: seeded gammas below w^6 with coefficients up to 5,
+    # every k, and a seeded sample of alphas <= gamma plus gamma's partial
+    # sums and the points just past them
+    rng = random.Random(6)
+    universe = all_ordinals(5, 5)
+    checked = 0
+    for _ in range(250):
+        gamma = rng.choice(universe)
+        comps = component_count(gamma)
+        assert comps == len(expansion(gamma))
+        sums = [partial_sum_expanded(gamma, k) for k in range(comps + 1)]
+        assert [partial_sum(gamma, k) for k in range(comps + 1)] == sums
+        for k in (-1, comps + 1):
+            with pytest.raises(OrdinalError):
+                partial_sum(gamma, k)
+        assert valid_classes(gamma) == valid_classes_expanded(gamma)
+        for i in range(comps + 2):
+            for j in range(7):
+                cid = NodeClassId(i, j)
+                assert is_valid_class(gamma, cid) == \
+                    is_valid_class_expanded(gamma, cid), (gamma, cid)
+                if is_valid_class_expanded(gamma, cid):
+                    assert class_size(gamma, cid) == \
+                        class_size_expanded(gamma, cid), (gamma, cid)
+        if gamma.is_zero():
+            continue
+        alphas = set(sums) | {s + ONE for s in sums[:-1]}
+        alphas.update(x for x in rng.sample(universe, 60) if x <= gamma)
+        for alpha in alphas:
+            assert cnf_index(gamma, alpha) == \
+                cnf_index_expanded(gamma, alpha), (gamma, alpha)
+            checked += 1
+    assert checked > 5_000
 
 
 def test_class_member_and_top():
