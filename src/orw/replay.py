@@ -19,13 +19,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .coloring import QuotientColoring
-from .ordinals import (
-    NodeClassId,
-    Ordinal,
-    OrdinalError,
-    SizeLimitError,
-    valid_classes,
-)
+from .ordinals import NodeClassId, Ordinal, OrdinalError, valid_classes
 from .ramsey import RamseyRecord, TableEntry, ramsey_value
 from .solver import SolveResult, check_trace, solve
 
@@ -91,7 +85,7 @@ class VariableSpace:
     def __init__(self, n: int, k: int):
         size = space_size(n, k)
         if size > MAX_VARIABLES:
-            raise SizeLimitError(
+            raise OrdinalError(
                 f"the variable space at n={n} K={k} has {size} variables, "
                 f"more than the limit of {MAX_VARIABLES}")
         self.n = n
@@ -221,24 +215,21 @@ def _comb_past(m: int, r: int, limit: int) -> int:
     return c
 
 
-def catalogue_size(n: int, k: int, drop: tuple[str, ...] = (),
-                   limit: Optional[int] = None) -> int:
-    """The number of clauses `instantiate_clauses(n, k, drop)` builds.
-
-    Each term counts one schema's loops below.  The space has n squared
-    components of three classes and k limit components of two, and
-    sources(k0) yields 2(n-k0)+k classes.  With a `limit`, counting stops
-    once C8's largest summand passes it, and the result is then only a
-    lower bound above `limit`: C8's exact count grows like comb(n+K, n).
-    """
+def _check_request(n: int, k: int, drop: tuple[str, ...]) -> None:
     for s in drop:
         if s not in SCHEMAS:
             raise ValueError(f"unknown schema {s!r}")
     _check_parameters(n, k)
-    if limit is not None and "C8" not in drop:
-        low = 2 * _comb_past(n + k - 1, n - 1, limit)
-        if low > limit:
-            return low
+
+
+def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
+    """The number of clauses `instantiate_clauses(n, k, drop)` builds.
+
+    Each term counts one schema's loops below.  The space has n squared
+    components of three classes and k limit components of two, and
+    sources(k0) yields 2(n-k0)+k classes.
+    """
+    _check_request(n, k, drop)
     classes = 3 * n + 2 * k
     # class triples from three distinct components, by how many are squared
     triples = (27 * comb(n, 3) + 18 * comb(n, 2) * k + 12 * n * comb(k, 2)
@@ -251,8 +242,9 @@ def catalogue_size(n: int, k: int, drop: tuple[str, ...] = (),
         "C5": 2 * n * (n - 1 + k),
         "C6": (n - 1) * (n + k),
         "C7": n - 1,
-        # 2 * sum over k0 = 1..n of C(n+k-k0, n-1), by the hockey stick
-        "C8": 2 * (comb(n + k, n) - comb(k, n)),
+        # 2 * sum over k0 = 1..n of C(n+k-k0, n-1), by the hockey stick;
+        # left uncounted when dropped, as it grows like comb(n+k, n)
+        "C8": 0 if "C8" in drop else 2 * (comb(n + k, n) - comb(k, n)),
         "C9": 2 * (n - 1) * (n + k),
         "C10": 2 * (n - 1) * (k + 3 * n),
         "C11": 3 * (n - 1) * (k - 1),
@@ -270,11 +262,22 @@ def instantiate_clauses(n: int, k: int,
     `drop` removes whole schemas, for ablation experiments.  A catalogue of
     more than MAX_CLAUSES clauses is refused before anything is built.
     """
-    size = catalogue_size(n, k, drop, limit=MAX_CLAUSES)
-    if size > MAX_CLAUSES:
-        raise SizeLimitError(
-            f"the catalogue at n={n} K={k} has at least {size} clauses, more "
+    _check_request(n, k, drop)
+    # C8 alone holds twice its largest summand comb(n+k-1, n-1); that is
+    # multiplied up only until it passes the limit, since the exact
+    # comb(n+k, n) takes minutes at a square K with n in the millions
+    low = 0 if "C8" in drop else 2 * _comb_past(n + k - 1, n - 1, MAX_CLAUSES)
+    if low > MAX_CLAUSES:
+        raise OrdinalError(
+            f"the catalogue at n={n} K={k} has at least {low} clauses, more "
             f"than the limit of {MAX_CLAUSES}")
+    size = catalogue_size(n, k, drop)
+    if size > MAX_CLAUSES:
+        # str() refuses integers of more than 4300 digits
+        shown = size if size < 10**15 else f"about 2^{size.bit_length()}"
+        raise OrdinalError(
+            f"the catalogue at n={n} K={k} has {shown} clauses, more than "
+            f"the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
     clauses: list[tuple[int, ...]] = []
     tags: list[ClauseTag] = []

@@ -179,14 +179,15 @@ class TestUpper:
         ["replay", "-n", "2000", "--k", "square"],
         ["replay", "-n", "1000000", "--k", "square"],
         ["export", "-n", "1000000", "--k", "square", "-o", "never-written"],
+        ["replay", "-n", "1000000", "--k", "square", "--drop", "C8"],
     ])
     def test_oversized_catalogue_refused_before_building(self, runner, args,
                                                          tmp_path):
         # (7,45) would hold 177 076 742 clauses, (6,32) 3 816 276 and
         # (2000, 3 999 996) a count of over 4 300 digits; each is refused
-        # from its closed-form size, without building it, and the count
-        # stops once C8 alone passes the limit (its exact comb(n+K, n) at
-        # n = 10^6 would take minutes)
+        # from its closed-form size, without building it; C8 is counted
+        # only until it passes the limit, and not at all when dropped (its
+        # exact comb(n+K, n) at n = 10^6 would take minutes)
         start = time.perf_counter()
         with runner.isolated_filesystem(temp_dir=tmp_path):
             r = invoke(runner, ["upper", *args])

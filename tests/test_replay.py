@@ -11,6 +11,7 @@ from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
+    _comb_past,
     MAX_CLAUSES,
     MAX_VARIABLES,
     ClauseSystem,
@@ -353,25 +354,22 @@ class TestInstantiation:
                 assert catalogue_size(n, k, drop) == \
                     len(instantiate_clauses(n, k, drop)), (n, k, drop)
 
-    def test_catalogue_count_stops_past_a_limit(self):
-        # with a limit the count is exact up to it, and above it a lower
-        # bound that still passes it; C8's largest summand decides early
-        for n in (3, 4, 5):
-            for k in range(2, 12):
-                for drop in ((), ("C8",)):
-                    exact = catalogue_size(n, k, drop)
-                    for limit in (100, 1_000, 10_000, MAX_CLAUSES):
-                        got = catalogue_size(n, k, drop, limit=limit)
-                        assert got == exact or limit < got <= exact
-        assert catalogue_size(7, 45, limit=MAX_CLAUSES) < \
-            catalogue_size(7, 45) == 177_076_742
-        # n = 10^6 at square K: refused at once, without comb(n+K, n)
-        start = time.perf_counter()
-        assert catalogue_size(10**6, 10**12 - 4, limit=MAX_CLAUSES) > \
-            MAX_CLAUSES
-        with pytest.raises(OrdinalError, match="clauses, more than the limit"):
-            instantiate_clauses(10**6, 10**12 - 4)
-        assert time.perf_counter() - start < 1.0
+    def test_clause_guard_refuses_early_without_exact_count(self):
+        # the guard's bound on C8 never passes the exact count, so it
+        # refuses no catalogue that fits
+        for n in range(3, 8):
+            for k in range(2, 60):
+                for limit in (100, 1_000, 10_000, MAX_CLAUSES):
+                    assert 2 * _comb_past(n + k - 1, n - 1, limit) <= \
+                        catalogue_size(n, k), (n, k, limit)
+        # n = 10^6 at square K, with C8 kept or dropped: refused at once,
+        # without the exact comb(n+K, n)
+        for drop in ((), ("C8",)):
+            start = time.perf_counter()
+            with pytest.raises(OrdinalError,
+                               match="clauses, more than the limit"):
+                instantiate_clauses(10**6, 10**12 - 4, drop)
+            assert time.perf_counter() - start < 1.0, drop
 
     def test_oversized_catalogue_is_refused(self):
         # the square-K catalogue at n = 5 stays allowed; n = 6 does not
