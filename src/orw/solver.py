@@ -11,14 +11,22 @@ the first one on, the solver branches on the unassigned variable of
 highest activity, ties to the lowest number (Moskewicz et al., "Chaff",
 DAC 2001), and gives it the value it last held (phase saving).  Activity
 rises for every variable that takes part in a conflict's analysis and
-decays geometrically.  Nothing is random, so identical inputs explore
-identical search trees.  Unsatisfiable runs end with a resolution trace
-whose steps name premises, not clauses: an axiom cites an input clause, a
-resolution two earlier steps and a pivot variable.  An independent checker
-derives every clause from what its step cites, as in Goldberg & Novikov
-(DATE 2003), and requires the final one to be empty.  Satisfiable runs
-return a total model.  Exceeding the decision budget raises, keeping
-resource exhaustion distinct from either answer.
+decays geometrically.  Each learned clause records its LBD, the number of
+decision levels among its literals (Audemard & Simon, "Predicting Learnt
+Clauses Quality in Modern SAT Solvers", IJCAI 2009).  At the first restart
+past REDUCE_FIRST conflicts, and after the r-th such reduction at the first
+restart past REDUCE_FIRST + r*REDUCE_INC more, the solver deletes the worse
+half of its learned clauses, the highest LBD first and the older first on
+ties.  It keeps every clause of LBD <= 2, the reason of every level-0
+literal and the clause just learned.  Nothing is random, so identical
+inputs explore identical search trees.  Unsatisfiable runs end with a
+resolution trace whose steps name premises, not clauses: an axiom cites an
+input clause, a resolution two earlier steps and a pivot variable.  A
+deleted clause's step stays in the trace, so later steps may still cite it.
+An independent checker derives every clause from what its step cites, as
+in Goldberg & Novikov (DATE 2003), and requires the final one to be
+empty.  Satisfiable runs return a total model.  Exceeding the decision
+budget raises, keeping resource exhaustion distinct from either answer.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ __all__ = [
 ]
 
 RESTART_UNIT = 256  # conflicts per unit of the Luby restart sequence
+REDUCE_FIRST = 2000  # conflicts before the first learned-clause reduction
+REDUCE_INC = 300  # each reduction puts the next one this much further off
 ACTIVITY_DECAY = 0.95  # the bump increment grows by 1/ACTIVITY_DECAY
 ACTIVITY_LIMIT = 1e100  # past this, every activity is scaled by 1/LIMIT
 
@@ -70,6 +80,7 @@ class SolveResult:
     nodes: int  # decisions
     conflicts: int
     restarts: int
+    reductions: int  # halvings of the learned-clause database
 
 
 def solve(clauses: Sequence[Sequence[int]], num_vars: int,
@@ -93,17 +104,19 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
     qhead = 0
-    nodes = conflicts = restarts = 0
+    nodes = conflicts = restarts = reductions = 0
     bump = 1.0
 
     steps: list[TraceStep] = []
     axiom_of: dict[int, int] = {}
     learned_step: dict[int, int] = {}
+    lbd: dict[int, int] = {}  # live learned clauses, oldest first
 
     def result(status: str, model: Optional[dict[int, bool]] = None,
                final: int = -1) -> SolveResult:
         trace = Trace(tuple(steps), final) if status == "unsat" else None
-        return SolveResult(status, model, trace, nodes, conflicts, restarts)
+        return SolveResult(status, model, trace, nodes, conflicts, restarts,
+                           reductions)
 
     def axiom(ci: int) -> int:
         got = axiom_of.get(ci)
@@ -290,6 +303,23 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         del trail_lim[bj:]
         qhead = mark
 
+    def reduce_db(keep: int) -> None:
+        # at level 0: delete the worse half of the learned clauses that are
+        # not glue (LBD <= 2), not the reason of a trail literal and not
+        # `keep`, by LBD descending, the older first on ties.  A deleted
+        # clause's trace step stays, so later steps may still cite it.
+        locked = {reason[abs(l)] for l in trail}
+        cands = [ci for ci, g in lbd.items()
+                 if g > 2 and ci != keep and ci not in locked]
+        cands.sort(key=lambda ci: -lbd[ci])  # stable: the older first
+        gone = set(cands[:len(cands) // 2])
+        for ci in gone:
+            del lbd[ci], learned_step[ci]
+            cls[ci] = watch_lits[ci] = ()  # never read again
+        for wl in watches:
+            if wl:
+                wl[:] = [ci for ci in wl if ci not in gone]
+
     # root-level units
     for ci, c in enumerate(cls):
         if len(c) == 1:
@@ -302,6 +332,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 
     luby_u = luby_v = 1  # Knuth's pair: luby_v runs 1, 1, 2, 1, 1, 2, 4, ...
     next_restart = RESTART_UNIT
+    next_reduce = REDUCE_FIRST
     while True:
         conf = propagate()
         if conf is not None:
@@ -322,11 +353,17 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             lower.sort(key=lambda l: (-level[abs(l)], abs(l)))
             cls.append(tuple([uip] + lower))
             learned_step[ci] = sid
+            lbd[ci] = len({level[abs(l)] for l in lower}) + 1  # + uip's
             attach(ci)
             if bj and conflicts >= next_restart:
                 # both watches of the learned clause sit above level 0, so
                 # it is left unasserted there
                 backjump(0)
+                if conflicts >= next_reduce:
+                    reduce_db(ci)
+                    reductions += 1
+                    next_reduce = (conflicts + REDUCE_FIRST
+                                   + REDUCE_INC * reductions)
                 rebuild_heap()
                 restarts += 1
                 if luby_u & -luby_u == luby_v:
@@ -366,8 +403,10 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 def check_trace(clauses: Sequence[Sequence[int]], trace: Trace) -> bool:
     """Independently replay a refutation: an axiom must cite an input
     clause, a resolution two earlier steps holding the pivot and its
-    negation, and the final step must derive the empty clause.  Each
-    derived clause is dropped after its last use, found in a first pass."""
+    negation, and the final step must derive the empty clause.  A clause is
+    an integer bitmask, literal v > 0 at bit 2v and -v at bit 2v+1, so a
+    resolution is two masks and an or.  Each derived clause is dropped
+    after its last use, found in a first pass."""
     steps = trace.steps
     final = trace.final
     if not (0 <= final < len(steps)):
@@ -384,19 +423,22 @@ def check_trace(clauses: Sequence[Sequence[int]], trace: Trace) -> bool:
         else:
             return False
     last_use[final] = len(steps)
-    derived: list[Optional[frozenset[int]]] = [None] * len(steps)
+    derived = [0] * len(steps)
     for idx, st in enumerate(steps):
         if st.kind == "axiom":
-            clause = frozenset(clauses[st.left])
+            clause = 0
+            for l in clauses[st.left]:
+                clause |= 1 << (2 * l if l >= 0 else 1 - 2 * l)
         else:
             a, b, v = derived[st.left], derived[st.right], st.pivot
-            if v <= 0 or v not in a or -v not in b:
+            if v <= 0 or not (a >> 2 * v) & 1 or not (b >> 2 * v + 1) & 1:
                 return False
-            clause = (a - {v}) | (b - {-v})
+            pos = 1 << 2 * v
+            clause = (a & ~pos) | (b & ~(pos << 1))
             if last_use[st.left] == idx:
-                derived[st.left] = None
+                derived[st.left] = 0
             if last_use[st.right] == idx:
-                derived[st.right] = None
+                derived[st.right] = 0
         if last_use[idx] > idx:
             derived[idx] = clause
     return not derived[final]

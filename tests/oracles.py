@@ -266,3 +266,25 @@ def rup_implied(clauses: Sequence[Sequence[int]],
     is implied by `clauses` if assuming its negation propagates to a
     conflict.  False means "not shown implied", not "not implied"."""
     return propagates_to_conflict(clauses, [-l for l in clause])
+
+
+def check_trace_sets(clauses: Sequence[Sequence[int]], trace) -> bool:
+    """Replay a resolution trace on frozensets of literals, keeping every
+    derived clause: the plain form of `orw.solver.check_trace`, which must
+    accept and reject exactly the same traces."""
+    derived: list[frozenset[int]] = []
+    for idx, st in enumerate(trace.steps):
+        if st.kind == "axiom":
+            if not 0 <= st.left < len(clauses):
+                return False
+            derived.append(frozenset(clauses[st.left]))
+        elif st.kind == "resolve":
+            if not (0 <= st.left < idx and 0 <= st.right < idx):
+                return False
+            a, b, v = derived[st.left], derived[st.right], st.pivot
+            if v <= 0 or v not in a or -v not in b:
+                return False
+            derived.append((a - {v}) | (b - {-v}))
+        else:
+            return False
+    return 0 <= trace.final < len(derived) and not derived[trace.final]

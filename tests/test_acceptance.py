@@ -85,8 +85,8 @@ def test_criterion_3_upper_bound_replay():
     # that alters a decision, a learned clause or a resolution shows here
     for n, mode, k, search in ((3, "ramsey-K", 7, (887, 2370)),
                                (3, "square-K", 5, (588, 1935)),
-                               (4, "ramsey-K", 15, (23669, 97353)),
-                               (4, "square-K", 12, (20179, 68931))):
+                               (4, "ramsey-K", 15, (25489, 84907)),
+                               (4, "square-K", 12, (19513, 63274))):
         rep = replay_theorem(n, mode)
         assert rep.k == k
         if rep.status != "unsat":  # the model is the diagnostic artifact

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import rup_implied, truth_table_status
+from oracles import check_trace_sets, rup_implied, truth_table_status
 from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
@@ -26,6 +26,7 @@ from orw.replay import (
     space_size,
 )
 from orw.solver import (
+    REDUCE_FIRST,
     RESTART_UNIT,
     BudgetExceeded,
     Trace,
@@ -105,12 +106,12 @@ class TestSolver:
             solve(cls, nv, budget=5)
 
     def test_deterministic(self):
-        # 5 holes end before the first restart, 7 holes restart
+        # 5 holes end before the first restart, 7 holes restart and reduce
         for holes in (5, 7):
             cls, nv = php_clauses(holes)
             a, b = solve(cls, nv), solve(cls, nv)
-            assert (a.nodes, a.conflicts, a.restarts) == \
-                (b.nodes, b.conflicts, b.restarts)
+            assert (a.nodes, a.conflicts, a.restarts, a.reductions) == \
+                (b.nodes, b.conflicts, b.restarts, b.reductions)
             assert a.trace.steps == b.trace.steps
 
     def test_restarts_on_pigeonhole_7(self):
@@ -120,6 +121,15 @@ class TestSolver:
         r = solve(cls, nv)
         assert r.status == "unsat" and check_trace(cls, r.trace)
         assert r.conflicts > RESTART_UNIT and r.restarts >= 1
+
+    def test_reduces_on_pigeonhole_7(self):
+        # the restart at conflict 2048 is the first past REDUCE_FIRST, so
+        # half the learned clauses go there; the refutation cites steps,
+        # not clauses, and still verifies
+        cls, nv = php_clauses(7)
+        r = solve(cls, nv)
+        assert r.conflicts > REDUCE_FIRST and r.reductions >= 1
+        assert r.status == "unsat" and check_trace(cls, r.trace)
 
     def test_short_solve_never_restarts(self):
         cls, nv = php_clauses(5)
@@ -208,6 +218,45 @@ class TestSolver:
                  TraceStep("axiom", 1, -1, 0),
                  TraceStep("resolve", 0, 1, 1))
         assert not check_trace([(1,), (2,)], Trace(steps, 2))
+
+    def test_checker_agrees_with_set_oracle(self):
+        # the bitmask checker and the frozenset oracle accept the solver's
+        # refutations and reject the same corruptions of them
+        rng = random.Random(7)
+        systems = [php_clauses(h) for h in (3, 4)]
+        while len(systems) < 8:
+            nv = rng.randrange(3, 9)
+            cls = [tuple(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, nv + 1), 2))
+                   for _ in range(rng.randrange(8, 20))]
+            if truth_table_status(cls, nv)[0] == "unsat":
+                systems.append((cls, nv))
+        for cls, nv in systems:
+            r = solve(cls, nv)
+            steps, final = list(r.trace.steps), r.trace.final
+            assert check_trace(cls, r.trace) and check_trace_sets(cls, r.trace)
+            res = [i for i, s in enumerate(steps) if s.kind == "resolve"]
+            ax = [i for i, s in enumerate(steps) if s.kind == "axiom"]
+            bad = []
+            for i in rng.sample(res, min(len(res), 5)):
+                st = steps[i]
+                # the pivot looked up in the wrong premise
+                bad.append((i, st._replace(left=st.right, right=st.left)))
+                # a forward reference, and a self-reference
+                bad.append((i, st._replace(right=i + 1)))
+                bad.append((i, st._replace(left=i)))
+            for i in rng.sample(ax, min(len(ax), 3)):
+                for ci in (len(cls), -1):  # an axiom citing no input
+                    bad.append((i, steps[i]._replace(left=ci)))
+                bad.append((i, steps[i]._replace(kind="lemma")))
+            traces = [Trace(tuple(steps[:i] + [st] + steps[i + 1:]), final)
+                      for i, st in bad]
+            # a final step that derives a non-empty clause
+            traces += [Trace(tuple(steps), i) for i in ax[:3]]
+            traces.append(Trace(tuple(steps), len(steps)))
+            for t in traces:
+                assert check_trace(cls, t) == check_trace_sets(cls, t)
+                assert not check_trace(cls, t)
 
     def test_checker_accepts_reused_resolvent(self):
         # (2) is derived once and cited twice, with a step in between, so
@@ -391,6 +440,22 @@ class TestInstantiation:
         with pytest.raises(ValueError):
             instantiate_clauses(3, 5, drop=("C99",))
 
+    @pytest.mark.parametrize("n,k", [(3, 3), (3, 5), (3, 7), (4, 6), (4, 7),
+                                     (4, 12), (5, 10)])
+    def test_duplicate_schemas(self, n, k):
+        # every C2 clause is a C1 clause and every C13 clause a C12 clause,
+        # as literal sets: which is why dropping C13 alone never gives a
+        # model.  At (4,12) that is 36 + 560 of the 10 608 core clauses.
+        sys_ = instantiate_clauses(n, k)
+        by: dict[str, list[frozenset]] = {}
+        for c, t in zip(sys_.clauses, sys_.tags):
+            by.setdefault(t.schema, []).append(frozenset(c))
+        assert set(by["C2"]) <= set(by["C1"])
+        assert set(by["C13"]) <= set(by["C12"])
+        if (n, k) == (4, 12):
+            assert len(by["C2"]) + len(by["C13"]) == 596
+            assert len(sys_.select(include_redundant=False)) == 10608
+
     def test_select_strips_redundant(self):
         full = instantiate_clauses(3, 5)
         core = full.select(include_redundant=False)
@@ -465,6 +530,16 @@ class TestReplay:
                  if tuple(e["a"]) in tops and tuple(e["b"]) in tops]
         assert len(block) == 45
         assert all(e["color"] == 0 for e in block)
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_n3_replays_never_reduce(self, k):
+        # n = 3 solves end before REDUCE_FIRST conflicts, so they keep the
+        # search and the bytes they had before learned clauses were deleted
+        for drop in ((), ("C8",)):
+            core = instantiate_clauses(3, k, drop=drop).select(
+                include_redundant=False)
+            r = decide(core)
+            assert r.conflicts < REDUCE_FIRST and r.reductions == 0
 
     def test_monotone_in_k(self):
         # more space means more instances of every schema: still unsat
