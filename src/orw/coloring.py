@@ -118,10 +118,10 @@ class QuotientColoring:
         """Normalize and complete the tables; unspecified colors = `default`.
 
         `within` maps class ids to colors; `cross` maps class pairs (either
-        order) to colors or is a callable (a, b) -> color; `overrides` maps
-        point pairs (ordinals, ints, or expression strings) to colors.  A
-        gamma with more than MAX_CLASSES node classes is refused before any
-        table is built: the cross table grows with the square of that count.
+        order) to colors; `overrides` maps point pairs (ordinals, ints, or
+        expression strings) to colors.  A gamma with more than MAX_CLASSES
+        node classes is refused before any table is built: the cross table
+        grows with the square of that count.
         """
         g = _as_ordinal(gamma)
         if g.is_zero():
@@ -132,31 +132,29 @@ class QuotientColoring:
                 f"gamma {g} has {count} node classes, more than the limit "
                 f"of {MAX_CLASSES}")
         classes = valid_classes(g)
-        class_set = set(classes)
+        # a NodeClassId is a tuple, so an (i, j) key finds its class here
+        # unconverted; only a key that misses is read by _as_class
+        own = {cid: cid for cid in classes}
 
-        w_in = {_as_class(k): int(v) for k, v in (within or {}).items()}
+        w_in = {own.get(k) or _as_class(k): int(v)
+                for k, v in (within or {}).items()}
         for k in w_in:
-            if k not in class_set:
+            if k not in own:
                 raise OrdinalError(f"within references invalid class {k}")
         w = {cid: w_in.get(cid, default) for cid in classes}
 
-        x: dict[ClassPair, Color] = {}
-        if callable(cross):
-            for a, b in combinations(classes, 2):
-                x[_class_key(a, b)] = int(cross(a, b))
-        else:
-            x_in = {}
-            for k, v in (cross or {}).items():
-                a, b = _as_class(k[0]), _as_class(k[1])
-                if a == b or a not in class_set or b not in class_set:
-                    raise OrdinalError(f"cross references invalid pair {k}")
-                key = _class_key(a, b)
-                if key in x_in and x_in[key] != int(v):
-                    raise OrdinalError(f"conflicting cross colors for {key}")
-                x_in[key] = int(v)
-            for a, b in combinations(classes, 2):
-                key = _class_key(a, b)
-                x[key] = x_in.get(key, default)
+        x = dict.fromkeys(combinations(classes, 2), default)  # low-first
+        given: set[ClassPair] = set()
+        for k, v in (cross or {}).items():
+            a = own.get(k[0]) or _as_class(k[0])
+            b = own.get(k[1]) or _as_class(k[1])
+            if a == b or a not in own or b not in own:
+                raise OrdinalError(f"cross references invalid pair {k}")
+            key, col = _class_key(a, b), int(v)
+            if key in given and x[key] != col:
+                raise OrdinalError(f"conflicting cross colors for {key}")
+            given.add(key)
+            x[key] = col
 
         ov: dict[PointPair, Color] = {}
         for k, v in (overrides or {}).items():
@@ -741,16 +739,81 @@ def coloring_to_json(c: QuotientColoring) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _build_refuses(read, value) -> bool:
+    """Does build's reader (`int` or `_as_class`) refuse this JSON value?
+
+    Then build refuses it with the reader's own message, in build's order
+    of checks.  A value the reader takes (1.9, "2", true) is the JSON
+    reader's to refuse: build finds (1.0, 0) or (True, 0) in its class
+    table by tuple equality and never sees the type.  So is Infinity, on
+    which int() fails without a refusal.
+    """
+    try:
+        read(value)
+    except (TypeError, ValueError):
+        return True
+    except OverflowError:
+        pass
+    return False
+
+
+def _json_class(v) -> tuple:
+    t = tuple(v)
+    if (len(t) == 2 and type(t[0]) is int and type(t[1]) is int
+            or _build_refuses(_as_class, t)):
+        return t
+    raise OrdinalError(f"class {json.dumps(v)} is not a pair of integers")
+
+
+def _json_ordinal(x, what: str):
+    if type(x) is bool:  # _as_ordinal takes a bool for an int
+        raise OrdinalError(f"{what} {json.dumps(x)} is not an ordinal")
+    return x
+
+
+def _json_table(entries, key_of, names) -> dict:
+    """One table of a coloring file, its entries read once and in order.
+
+    A key given twice must repeat its color; `names(key)` says what the
+    two colors conflict on.  A pair written in both orders reaches build
+    as two keys, and build refuses it there with the same message.
+    """
+    table = {}
+    for e in entries:
+        key, color = key_of(e), e["color"]
+        if type(color) is not int and not _build_refuses(int, color):
+            raise OrdinalError(f"color {json.dumps(color)} is not 0 or 1")
+        if table.setdefault(key, color) != color:
+            raise OrdinalError(f"conflicting {names(key)}")
+    return table
+
+
 def coloring_from_json(text: str) -> QuotientColoring:
+    """Read a coloring file with exact JSON types, refusing contradictions.
+
+    A class element must be a JSON integer and a color the integer 0 or 1;
+    gamma and the points are expression strings or integers, not booleans.
+    Two colors for one class, class pair or point pair are refused in
+    either entry order.
+    """
     doc = json.loads(text)
-    return QuotientColoring.build(
-        doc["gamma"],
-        within={tuple(e["class"]): e["color"] for e in doc.get("within", [])},
-        cross={(tuple(e["a"]), tuple(e["b"])): e["color"]
-               for e in doc.get("cross", [])},
-        overrides={(e["a"], e["b"]): e["color"]
-                   for e in doc.get("overrides", [])},
-    )
+    gamma = _json_ordinal(doc["gamma"], "gamma")
+    within = _json_table(
+        doc.get("within", []), lambda e: _json_class(e["class"]),
+        lambda k: f"within colors for {_as_class(k)}")
+    cross = _json_table(
+        doc.get("cross", []),
+        lambda e: (_json_class(e["a"]), _json_class(e["b"])),
+        lambda k: "cross colors for "
+                  f"{_class_key(_as_class(k[0]), _as_class(k[1]))}")
+    overrides = _json_table(
+        doc.get("overrides", []),
+        lambda e: (_json_ordinal(e["a"], "point"),
+                   _json_ordinal(e["b"], "point")),
+        lambda k: "overrides for "
+                  f"{_point_key(_as_ordinal(k[0]), _as_ordinal(k[1]))}")
+    return QuotientColoring.build(gamma, within=within, cross=cross,
+                                  overrides=overrides)
 
 
 def certificate_to_json(cert: CopyCertificate) -> str:
@@ -774,7 +837,7 @@ def certificate_from_json(text: str) -> CopyCertificate:
     return CopyCertificate(
         kind=doc["kind"],
         tail_class=(None if doc.get("tail_class") is None
-                    else _as_class(doc["tail_class"])),
+                    else _as_class(_json_class(doc["tail_class"]))),
         limit_point=(None if doc.get("limit_point") is None
                      else parse(doc["limit_point"])),
         excluded=tuple(parse(x) for x in doc.get("excluded", [])),

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Mapping, Optional
 
 from .coloring import (
+    BLUE,
     QuotientColoring,
     certificate_to_json,
     decide_blue_closed_3,
@@ -177,15 +178,10 @@ def induced_lower_coloring(g: GnGraph) -> QuotientColoring:
     Classes merged into one vertex (the R singletons) pair red with each
     other; within colors are all red; there are no overrides.
     """
-    spec = g.spec
-    owner = {cid: name for name, classes in spec.vertices.items()
-             for cid in classes}
-
-    def cross(a: NodeClassId, b: NodeClassId) -> int:
-        va, vb = owner[a], owner[b]
-        return 0 if va == vb else int(g.adjacent(va, vb))
-
-    return QuotientColoring.build(spec.gamma, cross=cross)
+    vertices = g.spec.vertices
+    blue = {(a, b): BLUE for u, v in g.edges
+            for a in vertices[u] for b in vertices[v]}
+    return QuotientColoring.build(g.spec.gamma, cross=blue)
 
 
 @dataclass(frozen=True)

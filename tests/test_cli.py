@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -310,6 +311,131 @@ class TestOrdinal:
         assert r.exit_code == 2
 
 
+def _pair(a, b, color):
+    return {"a": a, "b": b, "color": color}
+
+
+def _malformed(exc: str) -> str:
+    return f"error: malformed coloring file: {exc}\n"
+
+
+# One file per refusal the coloring loader prints, pinned byte for byte.
+# Classes of w*2: (1,0), (1,1), (2,0), (2,1).
+_NONNUMERIC = "ValueError(\"invalid literal for int() with base 10: 'a'\")"
+LOADER_REFUSALS = [
+    pytest.param({}, _malformed("KeyError('gamma')"), id="gamma-missing"),
+    pytest.param({"gamma": "0"}, _malformed(
+        "OrdinalError('coloring needs a nonzero gamma')"), id="gamma-zero"),
+    pytest.param({"gamma": "w^"}, _malformed(
+        "OrdinalParseError('expected a number (at position 2)')"),
+        id="gamma-unparsable"),
+    pytest.param({"gamma": "w*2", "within": [
+        {"class": [1, 0, 0], "color": 0}]}, _malformed(
+        "ValueError('too many values to unpack (expected 2)')"),
+        id="class-wrong-length"),
+    pytest.param({"gamma": "w*2", "within": [
+        {"class": ["a", 0], "color": 0}]}, _malformed(_NONNUMERIC),
+        id="class-nonnumeric"),
+    pytest.param({"gamma": "w*2", "within": [
+        {"class": [9, 0], "color": 0}]}, _malformed(
+        "OrdinalError('within references invalid class "
+        "NodeClassId(index=9, level=0)')"), id="within-not-in-gamma"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [1, 0], 1)]},
+                 _malformed("OrdinalError('cross references invalid pair "
+                            "((1, 0), (1, 0))')"), id="cross-equal-classes"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [9, 0], 1)]},
+                 _malformed("OrdinalError('cross references invalid pair "
+                            "((1, 0), (9, 0))')"), id="cross-not-in-gamma"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [2, 0], 1),
+                                            _pair([2, 0], [1, 0], 0)]},
+                 _malformed("OrdinalError('conflicting cross colors for "
+                            "(NodeClassId(index=1, level=0), "
+                            "NodeClassId(index=2, level=0))')"),
+                 id="cross-reversed-conflict"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", "3", 1)]},
+                 _malformed("OrdinalError('override on a degenerate pair 3')"),
+                 id="override-degenerate"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", "w*2", 1)]},
+                 _malformed("OrdinalError('override pair 3,w*2 not below "
+                            "w*2')"), id="override-not-below-gamma"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", "w", 1),
+                                                _pair("w", "3", 0)]},
+                 _malformed("OrdinalError(\"conflicting overrides for "
+                            "(Ordinal('3'), Ordinal('w'))\")"),
+                 id="override-reversed-conflict"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", "w+", 1)]},
+                 _malformed("OrdinalParseError('expected a term (at "
+                            "position 2)')"), id="override-unparsable"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": 2}]},
+                 _malformed("OrdinalError('color 2 is not 0 or 1')"),
+                 id="color-2"),
+    # every within key is read before any within class is checked
+    pytest.param({"gamma": "w*2", "within": [
+        {"class": [9, 0], "color": 0}, {"class": ["a", 0], "color": 0}]},
+        _malformed(_NONNUMERIC), id="within-keys-before-classes"),
+    # colors are checked last, after every table
+    pytest.param({"gamma": "w*2",
+                  "within": [{"class": [1, 0], "color": 2}],
+                  "overrides": [_pair("3", "3", 1)]},
+                 _malformed("OrdinalError('override on a degenerate pair 3')"),
+                 id="colors-after-overrides"),
+]
+
+_CLASS_10 = "NodeClassId(index=1, level=0)"
+_CROSS_CONFLICT = _malformed(
+    f"OrdinalError('conflicting cross colors for ({_CLASS_10}, "
+    "NodeClassId(index=2, level=0))')")
+# A key given twice with two colors is refused in either entry order.
+DUPLICATE_REFUSALS = [
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [2, 0], 1),
+                                            _pair([1, 0], [2, 0], 0)]},
+                 _CROSS_CONFLICT, id="cross"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([2, 0], [1, 0], 1),
+                                            _pair([2, 0], [1, 0], 0)]},
+                 _CROSS_CONFLICT, id="cross-written-high-first"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", "w", 1),
+                                                _pair("3", "w", 0)]},
+                 _malformed("OrdinalError(\"conflicting overrides for "
+                            "(Ordinal('3'), Ordinal('w'))\")"),
+                 id="overrides"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": 1},
+                                             {"class": [1, 0], "color": 0}]},
+                 _malformed(f"OrdinalError('conflicting within colors for "
+                            f"{_CLASS_10}')"), id="within"),
+]
+# A value int() would read as an integer is not one: each is refused.
+INEXACT_REFUSALS = [
+    pytest.param({"gamma": "w*2", "within": [{"class": [1.9, 0], "color": 1}]},
+                 _malformed("OrdinalError('class [1.9, 0] is not a pair of "
+                            "integers')"), id="class-float"),
+    pytest.param({"gamma": "w*2", "cross": [_pair(["2", "0"], [1, 0], 1)]},
+                 _malformed("OrdinalError('class [\"2\", \"0\"] is not a "
+                            "pair of integers')"), id="class-strings"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [True, 0], "color": 1}]},
+                 _malformed("OrdinalError('class [true, 0] is not a pair of "
+                            "integers')"), id="class-bool"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": 0.5}]},
+                 _malformed("OrdinalError('color 0.5 is not 0 or 1')"),
+                 id="color-half"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": "1"}]},
+                 _malformed("OrdinalError('color \"1\" is not 0 or 1')"),
+                 id="color-string"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [2, 0], True)]},
+                 _malformed("OrdinalError('color true is not 0 or 1')"),
+                 id="color-bool"),
+    # int() fails on Infinity without a refusal of its own
+    pytest.param({"gamma": "w*2", "within": [
+        {"class": [1, 0], "color": float("inf")}]},
+        _malformed("OrdinalError('color Infinity is not 0 or 1')"),
+        id="color-infinity"),
+    pytest.param({"gamma": True}, _malformed(
+        "OrdinalError('gamma true is not an ordinal')"), id="gamma-bool"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair(True, "w", 1)]},
+                 _malformed("OrdinalError('point true is not an ordinal')"),
+                 id="point-bool"),
+]
+
+
 class TestColoring:
     @pytest.fixture
     def files(self, tmp_path):
@@ -373,6 +499,49 @@ class TestColoring:
         r = invoke(runner, ["coloring", "check", files["red"],
                             "--certificate", str(bad)])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("doc, stderr", LOADER_REFUSALS)
+    def test_loader_refusals_are_pinned(self, runner, tmp_path, doc, stderr):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
+
+    @pytest.mark.parametrize("doc, stderr",
+                             DUPLICATE_REFUSALS + INEXACT_REFUSALS)
+    def test_contradictions_and_inexact_types_refused(self, runner, tmp_path,
+                                                      doc, stderr):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
+
+    def test_one_color_given_twice_accepted(self, runner, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "gamma": "w*2",
+            "within": [{"class": [1, 0], "color": 1}] * 2,
+            "cross": [_pair([1, 0], [2, 0], 1), _pair([1, 0], [2, 0], 1),
+                      _pair([2, 0], [1, 0], 1)],
+            "overrides": [_pair("3", "w", 0), _pair("3", "w", 0),
+                          _pair("w", "3", 0)]}))
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "2",
+                            "--json"])
+        assert r.exit_code == 1 and r.stderr == ""
+        assert json.loads(r.stdout)["blue_triple"] is not None
+
+    def test_inexact_certificate_class_refused(self, runner, files,
+                                               tmp_path):
+        cert = json.loads(Path(files["cert"]).read_text())
+        assert cert["tail_class"] == [1, 0]
+        cert["tail_class"] = [1.9, 0]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed certificate file: OrdinalError("
+                            "'class [1.9, 0] is not a pair of integers')\n")
 
     def test_usage_error_from_click(self, runner):
         r = invoke(runner, ["coloring", "decide", "/nonexistent", "-n", "3"])
