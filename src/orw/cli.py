@@ -30,7 +30,6 @@ from .ordinals import Ordinal, OrdinalError, SizeLimitError, parse
 from .ramsey import (
     RamseyError,
     TableEntry,
-    WitnessGraph,
     brute_force_ramsey,
     builtin_record,
     load_ramsey_table,
@@ -38,6 +37,7 @@ from .ramsey import (
     relabel_red_prefix,
     verify_witness,
     witness_from_json,
+    witness_graph_from_doc,
     witness_to_json,
 )
 from .replay import instantiate_clauses, replay_theorem, resolve_k
@@ -392,8 +392,7 @@ def cmd_ramsey_brute(n: int, as_json: bool) -> None:
 def cmd_ramsey_verify(n: int, witness_path: str, as_json: bool) -> None:
     """Check a witness file: triangle-free, no independent set of size n."""
     try:
-        doc = json.loads(_read(witness_path))
-        g = WitnessGraph.from_pairs(doc["order"], doc["edges"])
+        g = witness_graph_from_doc(json.loads(_read(witness_path)))
     except (KeyError, TypeError, ValueError) as exc:
         raise RamseyError(f"malformed witness file: {exc!r}")
     rep = verify_witness(g, n)

@@ -36,6 +36,7 @@ __all__ = [
     "ramsey_value",
     "witness_to_json",
     "witness_from_json",
+    "witness_graph_from_doc",
 ]
 
 
@@ -342,21 +343,36 @@ class TableEntry(NamedTuple):
     source: str  # "computed" | "external"
 
 
+def _json_int(x, what: str) -> int:
+    """x itself if it is a JSON integer, not a float, string or boolean."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {json.dumps(x)} is not an integer")
+    return x
+
+
 def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
-    """The R(n,3) value table: packaged defaults or a user-supplied file."""
+    """The R(n,3) value table: packaged defaults or a user-supplied file.
+
+    Every value must be a JSON integer; anything else is refused as a
+    malformed table, never rounded.
+    """
     if path is None:
         text = resources.files("orw.data").joinpath(
             "ramsey_table.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    doc = json.loads(text)
     out = {}
-    for key, entry in doc["values"].items():
-        if isinstance(entry, dict):
-            out[int(key)] = TableEntry(int(entry["value"]), entry["source"])
-        else:  # a bare number defaults to externally sourced
-            out[int(key)] = TableEntry(int(entry), "external")
+    try:
+        for key, entry in json.loads(text)["values"].items():
+            if isinstance(entry, dict):
+                value, source = entry["value"], entry["source"]
+            else:  # a bare number defaults to externally sourced
+                value, source = entry, "external"
+            out[int(key)] = TableEntry(
+                _json_int(value, f"R({key},3) value"), source)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RamseyError(f"malformed table file: {exc!r}") from exc
     return out
 
 
@@ -380,11 +396,23 @@ def witness_to_json(rec: RamseyRecord) -> str:
     }, indent=2)
 
 
+def witness_graph_from_doc(doc) -> WitnessGraph:
+    """The graph of a parsed witness file: its order and every edge
+    endpoint must be JSON integers, and every edge a pair."""
+    order = _json_int(doc["order"], "order")
+    pairs = []
+    for e in doc["edges"]:
+        if len(e) != 2:
+            raise TypeError(f"edge {json.dumps(e)} is not a pair")
+        pairs.append(tuple(_json_int(v, "edge endpoint") for v in e))
+    return WitnessGraph.from_pairs(order, pairs)
+
+
 def witness_from_json(text: str, source: str = "user-file") -> RamseyRecord:
     try:
         doc = json.loads(text)
-        g = WitnessGraph.from_pairs(doc["order"], doc["edges"])
-        rec = RamseyRecord(int(doc["n"]), g.order + 1, g, source)
+        g = witness_graph_from_doc(doc)
+        rec = RamseyRecord(_json_int(doc["n"], "n"), g.order + 1, g, source)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise RamseyError(f"malformed witness file: {exc!r}") from exc
     rep = verify_witness(g, rec.n)

@@ -549,25 +549,29 @@ def replay_theorem(n: int, mode: str, rec: Optional[RamseyRecord] = None,
     The full catalogue is not decided again: it contains every core clause,
     so a verified refutation of the core refutes it too, and
     `redundant_status` reads "unsat" exactly when the trace verified.
+    Only the core clauses, the space and the schema counts are kept
+    through the solve and the check; the catalogue's tags are dropped.
     """
     k, used = resolve_k(n, mode, rec=rec, table=table)
     full = instantiate_clauses(n, k, drop=drop)
-    core = full.select(include_redundant=False)
-    res = decide(core, budget=budget)
+    space, schema_counts = full.space, full.schema_counts()
+    clauses = full.select(include_redundant=False).clauses
+    del full
+    res = solve(clauses, space.num_vars, budget=budget)
     trace_verified = None
     redundant_status = None
     model = None
     trace_steps = 0
     if res.status == "unsat":
         trace_steps = len(res.trace.steps)
-        trace_verified = check_trace(core.clauses, res.trace)
+        trace_verified = check_trace(clauses, res.trace)
         redundant_status = "unsat" if trace_verified else None
     else:
-        model = model_tables(full.space, res.model)
+        model = model_tables(space, res.model)
     return ReplayReport(
-        n=n, mode=mode, k=k, gamma=full.space.gamma, ramsey_used=used,
-        dropped=tuple(drop), num_vars=full.space.num_vars,
-        num_clauses=len(core), schema_counts=full.schema_counts(),
+        n=n, mode=mode, k=k, gamma=space.gamma, ramsey_used=used,
+        dropped=tuple(drop), num_vars=space.num_vars,
+        num_clauses=len(clauses), schema_counts=schema_counts,
         status=res.status, nodes=res.nodes, trace_steps=trace_steps,
         trace_verified=trace_verified, redundant_status=redundant_status,
         model=model)

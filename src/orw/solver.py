@@ -21,23 +21,30 @@ ties.  It keeps every clause of LBD <= 2, the reason of every level-0
 literal and the clause just learned.  Nothing is random, so identical
 inputs explore identical search trees.  Unsatisfiable runs end with a
 resolution trace whose steps name premises, not clauses: an axiom cites an
-input clause, a resolution two earlier steps and a pivot variable.  A
-deleted clause's step stays in the trace, so later steps may still cite it.
-An independent checker derives every clause from what its step cites, as
-in Goldberg & Novikov (DATE 2003), and requires the final one to be
-empty.  Satisfiable runs return a total model.  Exceeding the decision
-budget raises, keeping resource exhaustion distinct from either answer.
+input clause, a resolution two earlier steps and a pivot variable.  The
+steps are stored as three packed columns of 4-byte signed integers (left,
+right, pivot; an axiom has right = -1), 12 bytes a step; a value that does
+not fit raises instead of wrapping.  A deleted clause's step stays in the
+trace, so later steps may still cite it.  An independent checker derives
+every clause from what its step cites, as in Goldberg & Novikov (DATE
+2003), and requires the final one to be empty.  Satisfiable runs return a
+total model.  Exceeding the decision budget raises, keeping resource
+exhaustion distinct from either answer.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple, Optional, Sequence
+from itertools import count
+from typing import NamedTuple, Optional
 
 __all__ = [
     "BudgetExceeded",
     "SolveResult",
+    "StepColumns",
     "Trace",
     "TraceStep",
     "check_trace",
@@ -66,10 +73,66 @@ class TraceStep(NamedTuple):
     pivot: int  # 0 (axiom) or the resolved variable
 
 
+class StepColumns(Sequence):
+    """The steps of a trace as three `array('i')` columns, read as a
+    sequence of TraceStep: `len` reads no step, and indexing builds each
+    TraceStep on demand.  Packed by `of`, a step of unknown kind or a
+    resolution citing step -1 is stored as a resolution citing step -2,
+    which `check_trace` rejects as it rejects the step given."""
+
+    __slots__ = ("left", "right", "pivot")
+
+    def __init__(self) -> None:
+        self.left = array("i")
+        self.right = array("i")
+        self.pivot = array("i")
+
+    @classmethod
+    def of(cls, steps: Iterable[TraceStep]) -> "StepColumns":
+        cols = cls()
+        for st in steps:
+            if st.kind == "axiom":
+                right = -1
+            elif st.kind == "resolve" and st.right != -1:
+                right = st.right
+            else:
+                right = -2
+            cols.left.append(st.left)
+            cols.right.append(right)
+            cols.pivot.append(st.pivot)
+        return cols
+
+    def trim(self) -> None:
+        """Drop the columns' growth slack: a copy of an array is allocated
+        to its length."""
+        self.left, self.right, self.pivot = (
+            array("i", c) for c in (self.left, self.right, self.pivot))
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        right = self.right[i]
+        return TraceStep("axiom" if right == -1 else "resolve",
+                         self.left[i], right, self.pivot[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepColumns):
+            return NotImplemented
+        return (self.left == other.left and self.right == other.right
+                and self.pivot == other.pivot)
+
+
 @dataclass(frozen=True)
 class Trace:
-    steps: tuple[TraceStep, ...]
+    steps: StepColumns  # a sequence of TraceStep is packed on the way in
     final: int  # index of the empty-clause step
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.steps, StepColumns):
+            object.__setattr__(self, "steps", StepColumns.of(self.steps))
 
 
 @dataclass(frozen=True)
@@ -85,7 +148,9 @@ class SolveResult:
 
 def solve(clauses: Sequence[Sequence[int]], num_vars: int,
           budget: int = 10_000_000) -> SolveResult:
-    cls = [tuple(dict.fromkeys(c)) for c in clauses]
+    # a duplicate-free input tuple is shared, not copied
+    cls = [c if type(c) is tuple and len(set(c)) == len(c)
+           else tuple(dict.fromkeys(c)) for c in clauses]
     n_orig = len(cls)
     lits = {l for c in cls for l in c}
     if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
@@ -107,22 +172,31 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     nodes = conflicts = restarts = reductions = 0
     bump = 1.0
 
-    steps: list[TraceStep] = []
+    steps = StepColumns()
+    lefts = steps.left  # its length is the number of steps
+    step_left = lefts.append
+    step_right = steps.right.append
+    step_pivot = steps.pivot.append
     axiom_of: dict[int, int] = {}
     learned_step: dict[int, int] = {}
     lbd: dict[int, int] = {}  # live learned clauses, oldest first
 
     def result(status: str, model: Optional[dict[int, bool]] = None,
                final: int = -1) -> SolveResult:
-        trace = Trace(tuple(steps), final) if status == "unsat" else None
+        trace = None
+        if status == "unsat":
+            steps.trim()
+            trace = Trace(steps, final)
         return SolveResult(status, model, trace, nodes, conflicts, restarts,
                            reductions)
 
     def axiom(ci: int) -> int:
         got = axiom_of.get(ci)
         if got is None:
-            got = len(steps)
-            steps.append(TraceStep("axiom", ci, -1, 0))
+            got = len(lefts)
+            step_left(ci)
+            step_right(-1)
+            step_pivot(0)
             axiom_of[ci] = got
         return got
 
@@ -245,10 +319,13 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             # literal, so var has a reason clause, and it holds lit
             rstep = step_of(reason[var])
             if lit > 0:
-                steps.append(TraceStep("resolve", rstep, sid, lit))
+                step_left(rstep)
+                step_right(sid)
             else:
-                steps.append(TraceStep("resolve", sid, rstep, -lit))
-            sid = len(steps) - 1
+                step_left(sid)
+                step_right(rstep)
+            step_pivot(var)
+            sid = len(lefts) - 1
             for l in cls[reason[var]]:
                 v2 = abs(l)
                 if l != lit and not seen[v2]:
@@ -406,39 +483,41 @@ def check_trace(clauses: Sequence[Sequence[int]], trace: Trace) -> bool:
     negation, and the final step must derive the empty clause.  A clause is
     an integer bitmask, literal v > 0 at bit 2v and -v at bit 2v+1, so a
     resolution is two masks and an or.  Each derived clause is dropped
-    after its last use, found in a first pass."""
-    steps = trace.steps
+    after its last use, found in a first pass and kept in a packed column
+    beside the trace's own, which are read directly."""
+    cols = trace.steps
+    lefts, rights, pivots = cols.left, cols.right, cols.pivot
+    size = len(lefts)
     final = trace.final
-    if not (0 <= final < len(steps)):
+    if not (0 <= final < size):
         return False
-    last_use = [-1] * len(steps)
-    for idx, st in enumerate(steps):
-        if st.kind == "axiom":
-            if not (0 <= st.left < len(clauses)):
+    num_clauses = len(clauses)
+    last_use = array("i", [-1]) * size
+    for idx, left, right in zip(count(), lefts, rights):
+        if right == -1:
+            if not (0 <= left < num_clauses):
                 return False
-        elif st.kind == "resolve":
-            if not (0 <= st.left < idx and 0 <= st.right < idx):
-                return False
-            last_use[st.left] = last_use[st.right] = idx
+        elif 0 <= left < idx and 0 <= right < idx:
+            last_use[left] = last_use[right] = idx
         else:
             return False
-    last_use[final] = len(steps)
-    derived = [0] * len(steps)
-    for idx, st in enumerate(steps):
-        if st.kind == "axiom":
+    last_use[final] = size
+    derived = [0] * size
+    for idx, left, right, v in zip(count(), lefts, rights, pivots):
+        if right == -1:
             clause = 0
-            for l in clauses[st.left]:
+            for l in clauses[left]:
                 clause |= 1 << (2 * l if l >= 0 else 1 - 2 * l)
         else:
-            a, b, v = derived[st.left], derived[st.right], st.pivot
+            a, b = derived[left], derived[right]
             if v <= 0 or not (a >> 2 * v) & 1 or not (b >> 2 * v + 1) & 1:
                 return False
             pos = 1 << 2 * v
             clause = (a & ~pos) | (b & ~(pos << 1))
-            if last_use[st.left] == idx:
-                derived[st.left] = 0
-            if last_use[st.right] == idx:
-                derived[st.right] = 0
+            if last_use[left] == idx:
+                derived[left] = 0
+            if last_use[right] == idx:
+                derived[right] = 0
         if last_use[idx] > idx:
             derived[idx] = clause
     return not derived[final]

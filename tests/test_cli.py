@@ -91,6 +91,19 @@ class TestBounds:
         assert doc["rows"][0]["ramsey_values_used"]["R(3,3)"][
             "source"] == "external"
 
+    @pytest.mark.parametrize("value", ["6.5", "true", "Infinity", '"6"',
+                                       '{"value": 6.0, "source": "x"}'])
+    def test_inexact_table_value_refused(self, runner, tmp_path, value):
+        # a value is never rounded, read off a string or taken from a
+        # boolean; Infinity must not reach int()
+        p = tmp_path / "t.json"
+        p.write_text('{"values": {"3": %s}}' % value)
+        r = invoke(runner, ["bounds", "--nmax", "3", "--table", str(p)])
+        assert r.exit_code == 2 and r.stdout == ""
+        shown = "6.0" if value.startswith("{") else value
+        assert r.stderr == ("error: malformed table file: TypeError('R(3,3) "
+                            f"value {shown} is not an integer')\n")
+
 
 class TestLower:
     def test_verify_passes(self, runner):
@@ -286,6 +299,45 @@ class TestRamsey:
         r = invoke(runner, ["ramsey", "verify", "-n", "3", "--witness",
                             str(p)])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("change, why", [
+        ({"edges": [[0, True]]}, "edge endpoint true"),
+        ({"edges": [[3, 4.9]]}, "edge endpoint 4.9"),
+        ({"order": float("inf")}, "order Infinity"),
+        ({"order": "5"}, 'order "5"'),
+    ])
+    @pytest.mark.parametrize("command", [["ramsey", "verify", "-n", "3"],
+                                         ["lower", "verify", "-n", "3"]])
+    def test_inexact_witness_refused(self, runner, tmp_path, command, change,
+                                     why):
+        # the builtin order-5 witness with one value changed; [0, true]
+        # must not be read as the edge (0, 1)
+        doc = json.loads(witness_to_json(builtin_record(3)))
+        if "edges" in change:
+            doc["edges"][0] = change["edges"][0]
+        else:
+            doc.update(change)
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        r = invoke(runner, command + ["--witness", str(p)])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == ("error: malformed witness file: "
+                            f"TypeError('{why} is not an integer')\n")
+
+    def test_witness_n_and_edge_shape_refused(self, runner, tmp_path):
+        p = tmp_path / "w.json"
+        doc = json.loads(witness_to_json(builtin_record(3)))
+        p.write_text(json.dumps(dict(doc, n=3.0)))
+        r = invoke(runner, ["lower", "verify", "-n", "3", "--witness", str(p)])
+        assert r.exit_code == 2
+        assert r.stderr == ("error: malformed witness file: "
+                            "TypeError('n 3.0 is not an integer')\n")
+        p.write_text(json.dumps(dict(doc, edges=[[0, 1, 2]])))
+        for command in (["ramsey", "verify"], ["lower", "verify"]):
+            r = invoke(runner, command + ["-n", "3", "--witness", str(p)])
+            assert r.exit_code == 2
+            assert r.stderr == ("error: malformed witness file: "
+                                "TypeError('edge [0, 1, 2] is not a pair')\n")
 
     def test_export_unknown_builtin(self, runner, tmp_path):
         r = invoke(runner, ["ramsey", "export", "-n", "7", "-o",
