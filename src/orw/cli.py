@@ -293,11 +293,8 @@ def cmd_upper_replay(n: int, k_choice: str, witness_path: Optional[str],
                      table_path: Optional[str], as_json: bool) -> None:
     """Decide the catalogue; UNSAT with a verified trace replays the bound."""
     rec = witness_from_json(_read(witness_path)) if witness_path else None
-    try:
-        rep = replay_theorem(n, _mode_of(k_choice), rec=rec, budget=budget,
-                             drop=dropped, table=_table_from(table_path))
-    except ValueError as exc:
-        raise OrdinalError(str(exc))
+    rep = replay_theorem(n, _mode_of(k_choice), rec=rec, budget=budget,
+                         drop=dropped, table=_table_from(table_path))
     if as_json:
         _echo(rep.to_json())
     else:
@@ -393,6 +390,8 @@ def cmd_ramsey_verify(n: int, witness_path: str, as_json: bool) -> None:
     """Check a witness file: triangle-free, no independent set of size n."""
     try:
         g = witness_graph_from_doc(json.loads(_read(witness_path)))
+    except SizeLimitError:
+        raise  # well-formed, refused for its order: its own message says so
     except (KeyError, TypeError, ValueError) as exc:
         raise RamseyError(f"malformed witness file: {exc!r}")
     rep = verify_witness(g, n)

@@ -143,16 +143,16 @@ class Ordinal:
         return hash(self.terms)
 
     def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
+        return self.terms < other.terms
 
     def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
+        return self.terms <= other.terms
 
     def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
+        return self.terms > other.terms
 
     def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
+        return self.terms >= other.terms
 
     # -- text --------------------------------------------------------------
 
@@ -178,15 +178,12 @@ OMEGA = Ordinal.omega_power(1)
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1 as a <, =, > b (term lists compare lexicographically)."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
-            return 1 if ea > eb else -1
-        if ca != cb:
-            return 1 if ca > cb else -1
-    if len(a.terms) != len(b.terms):
-        return 1 if len(a.terms) > len(b.terms) else -1
-    return 0
+    """-1, 0 or 1 as a <, =, > b.
+
+    Term tuples (exponent, coefficient), highest exponent first, compare
+    lexicographically exactly as the ordinals do.
+    """
+    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 # -- parsing ---------------------------------------------------------------

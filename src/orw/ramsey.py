@@ -20,6 +20,8 @@ from importlib import resources
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional
 
+from .ordinals import SizeLimitError
+
 __all__ = [
     "WitnessGraph",
     "WitnessReport",
@@ -37,7 +39,10 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
     "witness_graph_from_doc",
+    "MAX_ORDER",
 ]
+
+MAX_ORDER = 10_000  # a larger witness order is refused unbuilt
 
 
 class RamseyError(ValueError):
@@ -350,11 +355,25 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # name the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {json.dumps(key)} is given twice")
+            seen.add(key)
+    return doc
+
+
 def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
     """The R(n,3) value table: packaged defaults or a user-supplied file.
 
-    Every value must be a JSON integer; anything else is refused as a
-    malformed table, never rounded.
+    Every key must be a decimal integer n >= 1 written without sign, spaces
+    or leading zeros, and given once; every value a JSON integer; every
+    source "computed" or "external".  Anything else is refused as a
+    malformed table, never coerced or rounded.
     """
     if path is None:
         text = resources.files("orw.data").joinpath(
@@ -364,13 +383,21 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
             text = fh.read()
     out = {}
     try:
-        for key, entry in json.loads(text)["values"].items():
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        for key, entry in doc["values"].items():
+            if not (key.isascii() and key.isdigit()
+                    and not key.startswith("0")):
+                raise ValueError(
+                    f"key {json.dumps(key)} is not an integer n >= 1")
             if isinstance(entry, dict):
                 value, source = entry["value"], entry["source"]
             else:  # a bare number defaults to externally sourced
                 value, source = entry, "external"
-            out[int(key)] = TableEntry(
-                _json_int(value, f"R({key},3) value"), source)
+            value = _json_int(value, f"R({key},3) value")
+            if source not in ("computed", "external"):
+                raise ValueError(f"R({key},3) source {json.dumps(source)} "
+                                 "is neither computed nor external")
+            out[int(key)] = TableEntry(value, source)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RamseyError(f"malformed table file: {exc!r}") from exc
     return out
@@ -398,8 +425,12 @@ def witness_to_json(rec: RamseyRecord) -> str:
 
 def witness_graph_from_doc(doc) -> WitnessGraph:
     """The graph of a parsed witness file: its order and every edge
-    endpoint must be JSON integers, and every edge a pair."""
+    endpoint must be JSON integers, and every edge a pair.  An order above
+    MAX_ORDER is refused before any edge or adjacency list is built."""
     order = _json_int(doc["order"], "order")
+    if order > MAX_ORDER:
+        raise SizeLimitError(f"the witness has order {order}, more than "
+                             f"the limit of {MAX_ORDER}")
     pairs = []
     for e in doc["edges"]:
         if len(e) != 2:

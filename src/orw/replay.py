@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 from .coloring import QuotientColoring
 from .ordinals import NodeClassId, Ordinal, OrdinalError, valid_classes
 from .ramsey import RamseyRecord, TableEntry, ramsey_value
-from .solver import SolveResult, check_trace, solve
+from .solver import check_trace, solve
 
 __all__ = [
     "VariableSpace",
@@ -32,7 +32,6 @@ __all__ = [
     "space_size",
     "MAX_CLAUSES",
     "MAX_VARIABLES",
-    "decide",
     "replay_theorem",
     "resolve_k",
     "ReplayReport",
@@ -72,49 +71,45 @@ def space_size(n: int, k: int) -> int:
     return 2 * n + comb(3 * n + 2 * k, 2) - 3 * n - k
 
 
+def _check_space(n: int, k: int) -> None:
+    """Refuse a variable space of more than MAX_VARIABLES, unbuilt."""
+    size = space_size(n, k)
+    if size > MAX_VARIABLES:
+        raise OrdinalError(
+            f"the variable space at n={n} K={k} has {size} variables, "
+            f"more than the limit of {MAX_VARIABLES}")
+
+
 class VariableSpace:
     """Boolean variables for the color table of [0, w^2*n + w*K + 1).
 
     One variable per unordered pair of classes in distinct components
     ("t(i,j;k,l)"), and one per pair (component top, lower level of the same
     component) for components 1..n ("h(i,l)").  Indices are assigned in
-    component-major order, so the solver's first decisions, taken in index
-    order, scan components in sequence.
+    component-major order, a squared component's two hats before its pairs,
+    so the solver's first decisions, taken in index order, scan components
+    in sequence.
     """
 
     def __init__(self, n: int, k: int):
-        size = space_size(n, k)
-        if size > MAX_VARIABLES:
-            raise OrdinalError(
-                f"the variable space at n={n} K={k} has {size} variables, "
-                f"more than the limit of {MAX_VARIABLES}")
+        _check_space(n, k)
         self.n = n
         self.k = k
         self.gamma = replay_gamma(n, k)
         self.classes = tuple(valid_classes(self.gamma))
-        entries: list[tuple[tuple, str, tuple]] = []
-        for i in range(1, n + 1):
-            for lvl in (0, 1):
-                entries.append(((i, 0, lvl, 0, 0), "hat", (i, lvl)))
-        for a, b in combinations(self.classes, 2):
-            if a.index != b.index:
-                entries.append(((a.index, 1, a.level, b.index, b.level),
-                                "tilde", (a, b)))
-        entries.sort(key=lambda e: e[0])
         self._tilde: dict[tuple[NodeClassId, NodeClassId], int] = {}
         self._hat: dict[tuple[int, int], int] = {}
         self._names: list[str] = [""]  # 1-based
-        for _, kind, payload in entries:
-            idx = len(self._names)
-            if kind == "hat":
-                i, lvl = payload
-                self._hat[(i, lvl)] = idx
-                self._names.append(f"h({i},{lvl})")
-            else:
-                a, b = payload
-                self._tilde[(a, b)] = idx
-                self._names.append(f"t({a.index},{a.level};"
-                                   f"{b.index},{b.level})")
+        # classes run in (index, level) order, so the pairs do too
+        for a, b in combinations(self.classes, 2):
+            if a.index == b.index:
+                continue
+            if a.index <= n and (a.index, 0) not in self._hat:
+                for lvl in (0, 1):
+                    self._hat[(a.index, lvl)] = len(self._names)
+                    self._names.append(f"h({a.index},{lvl})")
+            self._tilde[(a, b)] = len(self._names)
+            self._names.append(f"t({a.index},{a.level};{b.index},{b.level})")
 
     @property
     def num_vars(self) -> int:
@@ -198,28 +193,11 @@ class ClauseSystem:
         }, indent=2)
 
 
-def _comb_past(m: int, r: int, limit: int) -> int:
-    """comb(m, r), or the first comb(m, i), i <= r, that passes `limit`.
-
-    With r replaced by min(r, m - r), comb(m, i) grows with i up to r, so
-    an early answer is a lower bound of comb(m, r) that passes `limit`.
-    """
-    r = min(r, m - r)
-    if r < 0:
-        return 0
-    c = 1
-    for i in range(r):
-        c = c * (m - i) // (i + 1)
-        if c > limit:
-            break
-    return c
-
-
 def _check_request(n: int, k: int, drop: tuple[str, ...]) -> None:
+    _check_parameters(n, k)
     for s in drop:
         if s not in SCHEMAS:
-            raise ValueError(f"unknown schema {s!r}")
-    _check_parameters(n, k)
+            raise OrdinalError(f"unknown schema {s!r}")
 
 
 def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
@@ -227,7 +205,9 @@ def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
 
     Each term counts one schema's loops below.  The space has n squared
     components of three classes and k limit components of two, and
-    sources(k0) yields 2(n-k0)+k classes.
+    sources(k0) yields 2(n-k0)+k classes.  The count is exact, and meant
+    for spaces within MAX_VARIABLES: C8's comb(n+k, n) takes minutes at a
+    square K with n in the millions.
     """
     _check_request(n, k, drop)
     classes = 3 * n + 2 * k
@@ -242,9 +222,8 @@ def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
         "C5": 2 * n * (n - 1 + k),
         "C6": (n - 1) * (n + k),
         "C7": n - 1,
-        # 2 * sum over k0 = 1..n of C(n+k-k0, n-1), by the hockey stick;
-        # left uncounted when dropped, as it grows like comb(n+k, n)
-        "C8": 0 if "C8" in drop else 2 * (comb(n + k, n) - comb(k, n)),
+        # 2 * sum over k0 = 1..n of C(n+k-k0, n-1), by the hockey stick
+        "C8": 2 * (comb(n + k, n) - comb(k, n)),
         "C9": 2 * (n - 1) * (n + k),
         "C10": 2 * (n - 1) * (k + 3 * n),
         "C11": 3 * (n - 1) * (k - 1),
@@ -259,24 +238,17 @@ def instantiate_clauses(n: int, k: int,
                         drop: tuple[str, ...] = ()) -> ClauseSystem:
     """Build the full tagged catalogue C1..C14 (C4/C10 flagged redundant).
 
-    `drop` removes whole schemas, for ablation experiments.  A catalogue of
-    more than MAX_CLAUSES clauses is refused before anything is built.
+    `drop` removes whole schemas, for ablation experiments.  The request is
+    checked before anything is built, cheapest first: the parameters and
+    schema names, then the variable space against MAX_VARIABLES, and only
+    for a space that fits, the exact clause count against MAX_CLAUSES.
     """
     _check_request(n, k, drop)
-    # C8 alone holds twice its largest summand comb(n+k-1, n-1); that is
-    # multiplied up only until it passes the limit, since the exact
-    # comb(n+k, n) takes minutes at a square K with n in the millions
-    low = 0 if "C8" in drop else 2 * _comb_past(n + k - 1, n - 1, MAX_CLAUSES)
-    if low > MAX_CLAUSES:
-        raise OrdinalError(
-            f"the catalogue at n={n} K={k} has at least {low} clauses, more "
-            f"than the limit of {MAX_CLAUSES}")
+    _check_space(n, k)
     size = catalogue_size(n, k, drop)
     if size > MAX_CLAUSES:
-        # str() refuses integers of more than 4300 digits
-        shown = size if size < 10**15 else f"about 2^{size.bit_length()}"
         raise OrdinalError(
-            f"the catalogue at n={n} K={k} has {shown} clauses, more than "
+            f"the catalogue at n={n} K={k} has {size} clauses, more than "
             f"the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
     clauses: list[tuple[int, ...]] = []
@@ -432,11 +404,6 @@ def instantiate_clauses(n: int, k: int,
                          -t(L(m), NodeClassId(k0, lvl))])
 
     return ClauseSystem(space, tuple(clauses), tuple(tags))
-
-
-def decide(system: ClauseSystem, budget: int = 10_000_000) -> SolveResult:
-    """Run the deterministic solver on a clause system."""
-    return solve(system.clauses, system.space.num_vars, budget=budget)
 
 
 def model_tables(space: VariableSpace, model: dict[int, bool]) -> dict:

@@ -104,6 +104,37 @@ class TestBounds:
         assert r.stderr == ("error: malformed table file: TypeError('R(3,3) "
                             f"value {shown} is not an integer')\n")
 
+    @pytest.mark.parametrize("values, why", [
+        pytest.param('{"3": {"value": 6, "source": 5}}',
+                     "R(3,3) source 5 is neither computed nor external",
+                     id="source-number"),
+        pytest.param('{"3": {"value": 6, "source": "x"}}',
+                     'R(3,3) source "x" is neither computed nor external',
+                     id="source-other"),
+        pytest.param('{"-3": 6, "03": 7}', 'key "-3" is not an integer n >= 1',
+                     id="key-signed"),
+        pytest.param('{"03": 7}', 'key "03" is not an integer n >= 1',
+                     id="key-leading-zero"),
+        pytest.param('{" 3 ": 6}', 'key " 3 " is not an integer n >= 1',
+                     id="key-spaces"),
+        pytest.param('{"0": 6, "3": 6}', 'key "0" is not an integer n >= 1',
+                     id="key-zero"),
+        pytest.param('{"3": 6, "3": 7}', 'key "3" is given twice',
+                     id="key-twice"),
+    ])
+    def test_table_source_and_keys_refused(self, runner, tmp_path, values,
+                                           why):
+        # a source is one of the two provenance flags, and a key names its
+        # n once, in one spelling; nothing is coerced with int()
+        p = tmp_path / "t.json"
+        p.write_text('{"values": %s}' % values)
+        for command in (["ramsey", "value", "-n", "3"],
+                        ["bounds", "--nmax", "3", "--json"]):
+            r = invoke(runner, command + ["--table", str(p)])
+            assert r.exit_code == 2 and r.stdout == "", command
+            assert r.stderr == ("error: malformed table file: "
+                                f"ValueError('{why}')\n")
+
 
 class TestLower:
     def test_verify_passes(self, runner):
@@ -190,36 +221,51 @@ class TestUpper:
     @pytest.mark.parametrize("args", [
         ["replay", "-n", "7", "--k", "square"],
         ["export", "-n", "6", "--k", "square", "-o", "never-written"],
-        ["replay", "-n", "2000", "--k", "square"],
-        ["replay", "-n", "1000000", "--k", "square"],
-        ["export", "-n", "1000000", "--k", "square", "-o", "never-written"],
-        ["replay", "-n", "1000000", "--k", "square", "--drop", "C8"],
     ])
     def test_oversized_catalogue_refused_before_building(self, runner, args,
                                                          tmp_path):
-        # (7,45) would hold 177 076 742 clauses, (6,32) 3 816 276 and
-        # (2000, 3 999 996) a count of over 4 300 digits; each is refused
-        # from its closed-form size, without building it; C8 is counted
-        # only until it passes the limit, and not at all when dropped (its
-        # exact comb(n+K, n) at n = 10^6 would take minutes)
+        # (7,45) would hold 177 076 742 clauses and (6,32) 3 816 276; both
+        # spaces fit, so each is refused from its exact closed-form count,
+        # without building it
+        clauses = {"7": "K=45 has 177076742", "6": "K=32 has 3816276"}
         start = time.perf_counter()
         with runner.isolated_filesystem(temp_dir=tmp_path):
             r = invoke(runner, ["upper", *args])
         assert time.perf_counter() - start < 1.0
-        assert r.exit_code == 2
-        assert "clauses, more than the limit" in r.output
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == (f"error: the catalogue at n={args[2]} "
+                            f"{clauses[args[2]]} clauses, more than the "
+                            "limit of 1000000\n")
         assert not any(tmp_path.rglob("never-written*"))
 
-    def test_oversized_space_refused_before_building(self, runner):
-        # with every schema dropped the catalogue is empty, but the
-        # (2000, 3 999 996) space would hold about 3.2e13 variables
-        start = time.perf_counter()
+    def test_oversized_space_refused_before_building(self, runner, tmp_path):
+        # the variable count is checked before the clause count, so these
+        # are refused for their space whatever is dropped: with every
+        # schema dropped the catalogue is empty, and the exact C8 count
+        # comb(n+K, n) at n = 10^6 would take minutes
+        def refusal(n, k, size):
+            return (f"error: the variable space at n={n} K={k} has {size} "
+                    "variables, more than the limit of 100000\n")
+
         drops = [arg for i in range(1, 15) for arg in ("--drop", f"C{i}")]
-        r = invoke(runner, ["upper", "replay", "-n", "2000", "--k", "square",
-                            *drops])
-        assert time.perf_counter() - start < 1.0
-        assert r.exit_code == 2
-        assert "variables, more than the limit" in r.output
+        at_2000 = refusal(2000, 3999996, 32047945947040)
+        at_10_6 = refusal(1000000, 999999999996, 2000005999986499973500040)
+        for args, err in [
+            (["replay", "-n", "2000", "--k", "square", *drops], at_2000),
+            (["replay", "-n", "2000", "--k", "square"], at_2000),
+            (["replay", "-n", "1000000", "--k", "square"], at_10_6),
+            (["export", "-n", "1000000", "--k", "square", "-o",
+              "never-written"], at_10_6),
+            (["replay", "-n", "1000000", "--k", "square", "--drop", "C8"],
+             at_10_6),
+        ]:
+            start = time.perf_counter()
+            with runner.isolated_filesystem(temp_dir=tmp_path):
+                r = invoke(runner, ["upper", *args])
+            assert time.perf_counter() - start < 1.0, args
+            assert r.exit_code == 2 and r.stdout == "", args
+            assert r.stderr == err, args
+            assert not any(tmp_path.rglob("never-written*"))
 
     def test_budget_exhaustion(self, runner):
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
@@ -338,6 +384,27 @@ class TestRamsey:
             assert r.exit_code == 2
             assert r.stderr == ("error: malformed witness file: "
                                 "TypeError('edge [0, 1, 2] is not a pair')\n")
+
+    @pytest.mark.parametrize("command", [
+        ["ramsey", "verify", "-n", "3"],
+        ["lower", "verify", "-n", "3"],
+        ["upper", "replay", "-n", "3", "--k", "ramsey"],
+        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
+    ])
+    def test_witness_order_over_the_limit_refused(self, runner, tmp_path,
+                                                  command):
+        # well-formed, so not "malformed": refused for its order before
+        # any adjacency list is built
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"n": 3, "order": 10_001, "edges": []}))
+        start = time.perf_counter()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, command + ["--witness", str(p)])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == ("error: the witness has order 10001, more than "
+                            "the limit of 10000\n")
+        assert not any(tmp_path.rglob("never-written*"))
 
     def test_export_unknown_builtin(self, runner, tmp_path):
         r = invoke(runner, ["ramsey", "export", "-n", "7", "-o",

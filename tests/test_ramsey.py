@@ -9,7 +9,9 @@ from itertools import combinations
 import pytest
 
 from oracles import canonical_form_oracle
+from orw.ordinals import SizeLimitError
 from orw.ramsey import (
+    MAX_ORDER,
     RamseyError,
     RamseyRecord,
     TableEntry,
@@ -24,6 +26,7 @@ from orw.ramsey import (
     search_witnesses,
     verify_witness,
     witness_from_json,
+    witness_graph_from_doc,
     witness_to_json,
 )
 
@@ -323,3 +326,16 @@ class TestWitnessJson:
     def test_rejects_malformed(self):
         with pytest.raises(RamseyError):
             witness_from_json(json.dumps({"order": 5, "edges": []}))
+
+    def test_order_above_the_limit_refused_unbuilt(self):
+        # 10^9 adjacency masks would take about 8 GB; the order is read
+        # and refused before any list is built
+        assert witness_graph_from_doc(
+            {"order": MAX_ORDER, "edges": []}).order == MAX_ORDER
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as err:
+            witness_from_json(json.dumps(
+                {"n": 3, "order": 10**9, "edges": []}))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == ("the witness has order 1000000000, more "
+                                  "than the limit of 10000")

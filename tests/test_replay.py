@@ -1,6 +1,7 @@
 """Tests for the CNF solver core and the clause-catalogue replay."""
 
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -14,14 +15,12 @@ from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import NodeClassId, OrdinalError, parse
 from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
-    _comb_past,
     MAX_CLAUSES,
     MAX_VARIABLES,
     ClauseSystem,
     VariableSpace,
     assignment_from_coloring,
     catalogue_size,
-    decide,
     first_violated_clause,
     instantiate_clauses,
     model_tables,
@@ -374,6 +373,18 @@ class TestVariableSpace:
         with pytest.raises(OrdinalError):
             VariableSpace(3, 1)
 
+    def test_numbering_is_pinned(self):
+        # every variable's index over n = 3..6, K = 2..29: hats first within
+        # a squared component, then its pairs, component by component
+        digest = hashlib.sha256()
+        for n in range(3, 7):
+            for k in range(2, 30):
+                sp = VariableSpace(n, k)
+                digest.update(repr((n, k, sp._names, sorted(sp._hat.items()),
+                                    sorted(sp._tilde.items()))).encode())
+        assert digest.hexdigest() == ("e41c5d2a41eeb78cc43dc4da2f829372"
+                                      "9057bbe40bdcd9b2f8c7e235a21be5f1")
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_space_size_is_exact(self, n):
         for k in range(2, 10):
@@ -462,21 +473,29 @@ class TestInstantiation:
                     len(instantiate_clauses(n, k, drop)), (n, k, drop)
 
     def test_clause_guard_refuses_early_without_exact_count(self):
-        # the guard's bound on C8 never passes the exact count, so it
-        # refuses no catalogue that fits
-        for n in range(3, 8):
-            for k in range(2, 60):
-                for limit in (100, 1_000, 10_000, MAX_CLAUSES):
-                    assert 2 * _comb_past(n + k - 1, n - 1, limit) <= \
-                        catalogue_size(n, k), (n, k, limit)
-        # n = 10^6 at square K, with C8 kept or dropped: refused at once,
-        # without the exact comb(n+K, n)
+        # n = 10^6 at square K, with C8 kept or dropped: the variable count
+        # is checked first and refuses at once, before the exact
+        # comb(n+K, n) that would take minutes
         for drop in ((), ("C8",)):
             start = time.perf_counter()
-            with pytest.raises(OrdinalError,
-                               match="clauses, more than the limit"):
+            with pytest.raises(OrdinalError) as err:
                 instantiate_clauses(10**6, 10**12 - 4, drop)
             assert time.perf_counter() - start < 1.0, drop
+            assert str(err.value) == (
+                "the variable space at n=1000000 K=999999999996 has "
+                "2000005999986499973500040 variables, more than the limit "
+                "of 100000")
+
+    @pytest.mark.parametrize("n, k", [(148, 2), (3, 219)])
+    def test_exact_count_is_fast_at_the_space_limit(self, n, k):
+        # the two corners of MAX_VARIABLES (3n + 2K <= 448 on every space
+        # that fits): the exact count stays cheap on any space it meets
+        assert space_size(n, k) <= MAX_VARIABLES
+        assert space_size(n + 1, k) > MAX_VARIABLES
+        assert space_size(n, k + 1) > MAX_VARIABLES
+        start = time.perf_counter()
+        assert catalogue_size(n, k) > 0
+        assert time.perf_counter() - start < 0.1
 
     def test_oversized_catalogue_is_refused(self):
         # the square-K catalogue at n = 5 stays allowed; n = 6 does not
@@ -596,14 +615,14 @@ class TestReplay:
         for drop in ((), ("C8",)):
             core = instantiate_clauses(3, k, drop=drop).select(
                 include_redundant=False)
-            r = decide(core)
+            r = solve(core.clauses, core.space.num_vars)
             assert r.conflicts < REDUCE_FIRST and r.reductions == 0
 
     def test_monotone_in_k(self):
         # more space means more instances of every schema: still unsat
         for k in (5, 6, 7, 8):
             sys_ = instantiate_clauses(3, k).select(include_redundant=False)
-            assert decide(sys_).status == "unsat"
+            assert solve(sys_.clauses, sys_.space.num_vars).status == "unsat"
 
     def test_report_json_round_trip_and_determinism(self):
         a = replay_theorem(3, "square-K")
