@@ -221,51 +221,52 @@ class TestUpper:
     @pytest.mark.parametrize("args", [
         ["replay", "-n", "7", "--k", "square"],
         ["export", "-n", "6", "--k", "square", "-o", "never-written"],
+        ["replay", "-n", "2000", "--k", "square"],
+        ["replay", "-n", "1000000", "--k", "square"],
+        ["export", "-n", "1000000", "--k", "square", "-o", "never-written"],
+        ["replay", "-n", "1000000", "--k", "square", "--drop", "C8"],
     ])
     def test_oversized_catalogue_refused_before_building(self, runner, args,
                                                          tmp_path):
         # (7,45) would hold 177 076 742 clauses and (6,32) 3 816 276; both
         # spaces fit, so each is refused from its exact closed-form count,
-        # without building it
-        clauses = {"7": "K=45 has 177076742", "6": "K=32 has 3816276"}
+        # without building it. The variable count is checked before the
+        # clause count, so the n = 2000 and n = 10^6 catalogues are refused
+        # for their space whatever is dropped (the exact C8 count
+        # comb(n+K, n) at n = 10^6 would take minutes)
+        refusal = {
+            "7": "the catalogue at n=7 K=45 has 177076742 clauses, more "
+                 "than the limit of 1000000",
+            "6": "the catalogue at n=6 K=32 has 3816276 clauses, more than "
+                 "the limit of 1000000",
+            "2000": "the variable space at n=2000 K=3999996 has "
+                    "32047945947040 variables, more than the limit of "
+                    "100000",
+            "1000000": "the variable space at n=1000000 K=999999999996 has "
+                       "2000005999986499973500040 variables, more than the "
+                       "limit of 100000",
+        }
         start = time.perf_counter()
         with runner.isolated_filesystem(temp_dir=tmp_path):
             r = invoke(runner, ["upper", *args])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2 and r.stdout == ""
-        assert r.stderr == (f"error: the catalogue at n={args[2]} "
-                            f"{clauses[args[2]]} clauses, more than the "
-                            "limit of 1000000\n")
+        assert r.stderr == f"error: {refusal[args[2]]}\n"
         assert not any(tmp_path.rglob("never-written*"))
 
     def test_oversized_space_refused_before_building(self, runner, tmp_path):
-        # the variable count is checked before the clause count, so these
-        # are refused for their space whatever is dropped: with every
-        # schema dropped the catalogue is empty, and the exact C8 count
-        # comb(n+K, n) at n = 10^6 would take minutes
-        def refusal(n, k, size):
-            return (f"error: the variable space at n={n} K={k} has {size} "
-                    "variables, more than the limit of 100000\n")
-
+        # with every schema dropped the catalogue is empty, but the
+        # (2000, 3 999 996) space would hold about 3.2e13 variables
         drops = [arg for i in range(1, 15) for arg in ("--drop", f"C{i}")]
-        at_2000 = refusal(2000, 3999996, 32047945947040)
-        at_10_6 = refusal(1000000, 999999999996, 2000005999986499973500040)
-        for args, err in [
-            (["replay", "-n", "2000", "--k", "square", *drops], at_2000),
-            (["replay", "-n", "2000", "--k", "square"], at_2000),
-            (["replay", "-n", "1000000", "--k", "square"], at_10_6),
-            (["export", "-n", "1000000", "--k", "square", "-o",
-              "never-written"], at_10_6),
-            (["replay", "-n", "1000000", "--k", "square", "--drop", "C8"],
-             at_10_6),
-        ]:
-            start = time.perf_counter()
-            with runner.isolated_filesystem(temp_dir=tmp_path):
-                r = invoke(runner, ["upper", *args])
-            assert time.perf_counter() - start < 1.0, args
-            assert r.exit_code == 2 and r.stdout == "", args
-            assert r.stderr == err, args
-            assert not any(tmp_path.rglob("never-written*"))
+        start = time.perf_counter()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, ["upper", "replay", "-n", "2000", "--k",
+                                "square", *drops])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == ("error: the variable space at n=2000 K=3999996 "
+                            "has 32047945947040 variables, more than the "
+                            "limit of 100000\n")
 
     def test_budget_exhaustion(self, runner):
         r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
