@@ -13,9 +13,6 @@ from orw.coloring import (
     check_certificate,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
-    extract_canonical_table,
-    is_normal,
-    is_omega_homogeneous,
 )
 from orw.lowerbound import verify_lower_bound
 from orw.ordinals import NodeClassId, Ordinal, OrdinalError, classify, parse
@@ -42,10 +39,7 @@ __all__ = [
     "classify",
     "decide_blue_closed_3",
     "decide_red_closed_omega_plus_n",
-    "extract_canonical_table",
     "instantiate_clauses",
-    "is_normal",
-    "is_omega_homogeneous",
     "parse",
     "ramsey_value",
     "replay_theorem",

@@ -464,8 +464,8 @@ def coloring() -> None:
 def cmd_coloring_decide(file: str, n: int, as_json: bool) -> None:
     """Search a coloring file for a blue triple or red closed omega+n."""
     c = _load_coloring(file)
+    red = decide_red_closed_omega_plus_n(c, n)  # refuses a large n unsearched
     blue = decide_blue_closed_3(c)
-    red = decide_red_closed_omega_plus_n(c, n)
     if as_json:
         _emit({"gamma": str(c.gamma), "n": n,
                "blue_triple": (json.loads(certificate_to_json(blue))
@@ -492,6 +492,8 @@ def cmd_coloring_check(file: str, cert_path: str, as_json: bool) -> None:
     cert = _load_certificate(cert_path)
     try:
         ok = check_certificate(c, cert)
+    except SizeLimitError:
+        raise  # well-formed, refused for its size: its own message says so
     except ValueError as exc:
         raise OrdinalError(f"bad certificate: {exc}")
     if as_json:

@@ -4,9 +4,10 @@ A quotient coloring assigns a color to every unordered pair of points below
 gamma using three layers: a `within` color per class (pairs inside one class),
 a `cross` color per unordered pair of distinct classes, and a finite map of
 per-pair overrides.  Because all but finitely many pairs take their color from
-the class tables, the structural properties checked here (constancy on child
-sets, dependence on levels only, cross-component tables) and the existence of
-small homogeneous closed copies are all exactly decidable by finite searches.
+the class tables, the existence of a small homogeneous closed copy (a blue
+triangle, a red closed copy of omega+n) is exactly decidable by a finite
+search, and every copy found comes with a certificate that `check_certificate`
+re-verifies independently of the search.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .ordinals import (
-    OMEGA,
-    BoundedEnumeration,
     NodeClassId,
     Ordinal,
     OrdinalError,
@@ -29,20 +28,17 @@ from .ordinals import (
     class_size,
     class_count,
     classify,
-    component_count,
     is_valid_class,
     node_class,
     parse,
     partial_sum,
-    star_children,
-    star_less,
-    star_parent,
     valid_classes,
 )
 
 RED = 0
 BLUE = 1
 MAX_CLASSES = 1_000  # colorings with more node classes are refused unbuilt
+MAX_N = 1_000  # a red target omega+n with larger n is refused unsearched
 
 Color = int
 PointPair = tuple[Ordinal, Ordinal]
@@ -52,24 +48,13 @@ __all__ = [
     "RED",
     "BLUE",
     "MAX_CLASSES",
+    "MAX_N",
     "QuotientColoring",
-    "NormalTable",
-    "CanonicalTable",
-    "SkeletonMap",
     "CopyCertificate",
-    "HomogeneityReport",
-    "NormalReport",
-    "LevelsReport",
     "color_of",
-    "is_omega_homogeneous",
-    "is_normal",
-    "extract_canonical_table",
-    "skeleton_extract",
-    "induced_coloring",
     "decide_blue_closed_3",
     "decide_red_closed_omega_plus_n",
     "check_certificate",
-    "check_omega_squared_levels",
     "coloring_to_json",
     "coloring_from_json",
     "certificate_to_json",
@@ -202,210 +187,6 @@ def color_of(c: QuotientColoring, a, b) -> Color:
     return c.class_pair_color(classify(c.gamma, a), classify(c.gamma, b))
 
 
-# -- structural property checks --------------------------------------------
-
-
-class HomogeneityReport(NamedTuple):
-    ok: bool
-    witness: Optional[tuple[Ordinal, Ordinal, Ordinal]]  # (parent, b1, b2)
-
-
-def is_omega_homogeneous(c: QuotientColoring) -> HomogeneityReport:
-    """Check that for each point a < gamma, pairs of children of a share one color.
-
-    The children of any point all lie in a single class, so the child-pair
-    colors are the class's within color except on overridden pairs; the check
-    reduces to scanning overrides for a disagreeing sibling pair whose shared
-    parent is itself below gamma.
-    """
-    for (x, y) in sorted(c.overrides):
-        parent = star_parent(x)
-        if parent != star_parent(y) or parent >= c.gamma:
-            continue
-        if c.overrides[(x, y)] != c.within[classify(c.gamma, x)]:
-            return HomogeneityReport(False, (parent, x, y))
-    return HomogeneityReport(True, None)
-
-
-@dataclass(frozen=True)
-class NormalTable:
-    """Colors of step-related pairs, keyed by (component of b2, CB b2, CB b1)."""
-
-    gamma: Ordinal
-    entries: Mapping[tuple[int, int, int], Color]
-
-    def hat(self, i: int, j2: int, j1: int) -> Color:
-        return self.entries[(i, j2, j1)]
-
-
-class NormalReport(NamedTuple):
-    ok: bool
-    table: Optional[NormalTable]
-    counterexample: Optional[PointPair]
-
-
-def is_normal(c: QuotientColoring) -> NormalReport:
-    """Check that colors of step-related pairs depend only on levels.
-
-    A step-related pair (b1 below b2 with b2 = b1 + a power above b1's rank)
-    always lies inside one component, at two distinct levels; away from
-    overrides its color is the cross entry of those two level classes.  So the
-    coloring is level-determined iff every override on a step-related pair
-    agrees with that entry, and the extracted table is the cross map read on
-    same-component level pairs.
-    """
-    for (x, y) in sorted(c.overrides):
-        if not star_less(x, y):
-            continue
-        expected = c.class_pair_color(classify(c.gamma, x), classify(c.gamma, y))
-        if c.overrides[(x, y)] != expected:
-            return NormalReport(False, None, (x, y))
-    entries = {(b.index, b.level, j1):
-               c.cross[_class_key(NodeClassId(b.index, j1), b)]
-               for b in valid_classes(c.gamma) for j1 in range(b.level)}
-    return NormalReport(True, NormalTable(c.gamma, entries), None)
-
-
-@dataclass(frozen=True)
-class CanonicalTable:
-    """Eventual colors against level tails of other components, keyed (i,j,k,l)."""
-
-    gamma: Ordinal
-    entries: Mapping[tuple[int, int, int, int], Color]
-
-    def tilde(self, i: int, j: int, k: int, ell: int) -> Color:
-        return self.entries[(i, j, k, ell)]
-
-
-def extract_canonical_table(c: QuotientColoring) -> CanonicalTable:
-    """Table of colors from each class against each other component's levels.
-
-    For a source class (i, j) and a target component k != i at level l, all
-    but finitely many pairs (point of (i,j), member of the level-l tail of
-    component k) get the cross color of the two classes, since that tail lies
-    inside class (k, l).  Requires the coloring to be level-determined and
-    child-constant, matching the setting in which the table is meaningful.
-    """
-    hom = is_omega_homogeneous(c)
-    norm = is_normal(c)
-    if not hom.ok:
-        raise OrdinalError(f"coloring is not child-constant: {hom.witness}")
-    if not norm.ok:
-        raise OrdinalError(f"coloring is not level-determined: {norm.counterexample}")
-    classes = valid_classes(c.gamma)
-    entries: dict[tuple[int, int, int, int], Color] = {}
-    for src in classes:
-        for tgt in classes:
-            if tgt.index == src.index:
-                continue
-            entries[(src.index, src.level, tgt.index, tgt.level)] = \
-                c.cross[_class_key(src, tgt)]
-    return CanonicalTable(c.gamma, entries)
-
-
-# -- skeletons --------------------------------------------------------------
-
-
-def _component_tops(gamma: Ordinal) -> list[Ordinal]:
-    return [partial_sum(gamma, i) for i in range(1, component_count(gamma))]
-
-
-@dataclass(frozen=True)
-class SkeletonMap:
-    """An order-homeomorphic copy of [0, gamma) inside itself.
-
-    The copy avoids `excluded` (finitely many points) together with all their
-    descendants in the child forest; `apply` evaluates the unique increasing,
-    step-preserving map from [0, gamma) onto the copy pointwise.
-    """
-
-    gamma: Ordinal
-    excluded: frozenset[Ordinal]
-
-    def contains(self, x: Ordinal) -> bool:
-        """Is x in the image? (No point on its chain up to a root is excluded.)"""
-        if not x < self.gamma:
-            return False
-        y = x
-        while True:
-            if y in self.excluded:
-                return False
-            p = star_parent(y)
-            if p >= self.gamma:
-                return True
-            y = p
-
-    def image(self) -> BoundedEnumeration:
-        def gen() -> Iterator[Ordinal]:
-            k = 0
-            while Ordinal.from_int(k) < self.gamma:
-                yield self.apply(Ordinal.from_int(k))
-                k += 1
-        return BoundedEnumeration(self.contains, gen)
-
-    def apply(self, x) -> Ordinal:
-        """Evaluate the map at x: same child-index path, excluded slots skipped."""
-        x = _as_ordinal(x)
-        if not x < self.gamma:
-            raise OrdinalError(f"{x} is not below {self.gamma}")
-        path: list[int] = []
-        y = x
-        while True:
-            p = star_parent(y)
-            if p >= self.gamma:
-                break
-            path.append(_child_index(p, y))
-            y = p
-        if y in _component_tops(self.gamma):
-            node = y  # fixed root: a component top survives every skeleton
-        else:
-            node = self._pick(star_children(self.gamma), _child_index(self.gamma, y))
-        for idx in reversed(path):
-            node = self._pick(star_children(node), idx)
-        return node
-
-    def _pick(self, children: BoundedEnumeration, idx: int) -> Ordinal:
-        take = idx + len(self.excluded) + 1
-        live = [z for z in children.enumerate(take) if z not in self.excluded]
-        return live[idx]
-
-
-def _child_index(parent: Ordinal, child: Ordinal) -> int:
-    """Position of `child` in the increasing enumeration of parent's children."""
-    if child.is_zero():
-        return 0
-    delta = parent.decrement_last()
-    k = child.left_difference(delta).terms[0][1]
-    return k - 1 + (1 if parent == OMEGA else 0)
-
-
-def skeleton_extract(c: QuotientColoring) -> SkeletonMap:
-    """A skeleton of [0, gamma) avoiding every overridden pair.
-
-    Child sets are monochromatic away from the finitely many overridden
-    points, so dropping the override-touched points (and, implicitly, their
-    descendants) and renumbering each child set leaves a copy on which the
-    coloring is child-constant.  Component tops are kept: they are the unique
-    members of their classes, and no pair of tops shares a parent below gamma.
-    """
-    tops = set(_component_tops(c.gamma))
-    return SkeletonMap(c.gamma, frozenset(c.touched() - tops))
-
-
-def induced_coloring(c: QuotientColoring, skel: SkeletonMap) -> QuotientColoring:
-    """The pullback coloring: pair {a, b} gets the color of {f(a), f(b)}.
-
-    The map preserves classes, so the pullback keeps the same class tables;
-    an override survives exactly when both its points are fixed by the map
-    (component tops), which is also why the pullback is child-constant.
-    """
-    if skel.gamma != c.gamma:
-        raise OrdinalError("skeleton and coloring disagree on gamma")
-    surviving = {pair: col for pair, col in c.overrides.items()
-                 if skel.contains(pair[0]) and skel.contains(pair[1])}
-    return QuotientColoring(c.gamma, c.within, c.cross, surviving)
-
-
 # -- homogeneous closed copies ----------------------------------------------
 
 
@@ -465,47 +246,69 @@ def _clique(c: QuotientColoring, pool: list[_Slot], usable: list[int],
             size: int, color: Color) -> Optional[list[int]]:
     """The first `size` slots from `usable` (pool indices) pairwise `color`.
 
-    Candidates are tried in `usable` order, each from the position of the
-    previous pick on.  A point slot is used once; a class slot may repeat,
-    and two fresh members of a class take its within color, so a repeat
-    passes exactly when that color is `color`.
+    A depth-first search: candidates are tried in `usable` order, each from
+    the position of the previous pick on.  A point slot is used once; a
+    class slot may repeat, and two fresh members of a class take its within
+    color, so a repeat passes exactly when that color is `color`.  Such a
+    slot, once it passes, would be picked again at every deeper level, so
+    it fills the remaining picks at once.  A branch is left as soon as the
+    slots after it cannot make up `size`.  The picks are kept on an explicit
+    stack, so their number is not bounded by the recursion limit.
     """
-    def extend(picked: list[int], start: int) -> Optional[list[int]]:
-        if len(picked) == size:
-            return picked
-        for pos in range(start, len(usable)):
+    def repeats(s: _Slot) -> bool:
+        return s.kind == "class" and c.within[s.cls] == color
+
+    # room[p]: at most how many more picks positions p, p+1, ... can give
+    room = [0] * (len(usable) + 1)
+    for p in range(len(usable) - 1, -1, -1):
+        room[p] = size if repeats(pool[usable[p]]) else room[p + 1] + 1
+    picked: list[int] = []
+    taken_at: list[int] = []  # the position each pick was taken from
+    pos = 0
+    while len(picked) < size:
+        while len(picked) + room[pos] >= size:
             idx = usable[pos]
             s = pool[idx]
-            if s.kind == "point" and idx in picked:
-                continue
-            if any(_slot_color(c, pool[j], s) != color for j in picked):
-                continue
-            got = extend(picked + [idx], pos)
-            if got is not None:
-                return got
-        return None
+            if not (s.kind == "point" and idx in picked) and all(
+                    _slot_color(c, pool[j], s) == color for j in picked):
+                break
+            pos += 1
+        else:  # no candidate left at this depth: undo the last pick
+            if not picked:
+                return None
+            picked.pop()
+            pos = taken_at.pop() + 1
+            continue
+        if repeats(s):
+            return picked + [idx] * (size - len(picked))
+        picked.append(idx)
+        taken_at.append(pos)
+    return picked
 
-    return extend([], 0)
 
-
-def _materialize(c: QuotientColoring, slots: Iterable[_Slot],
+def _materialize(c: QuotientColoring, slots: list[_Slot],
                  above: Optional[Ordinal] = None) -> list[Ordinal]:
-    """Realize slots as distinct points; fresh points avoid all touched ones."""
+    """Realize slots as distinct points; fresh points avoid all touched ones.
+
+    Each class is walked once, by one iterator: its fresh points are its
+    first members (above `above`, when given) that no override and no point
+    slot uses, in order.
+    """
     banned = set(c.touched())
     banned.update(s.point for s in slots if s.kind == "point")
+    walks: dict[NodeClassId, Iterator[Ordinal]] = {}
     chosen: list[Ordinal] = []
     for s in slots:
         if s.kind == "point":
             chosen.append(s.point)
             continue
-        pool = (node_class(c.gamma, s.cls) if above is None
-                else class_members_above(c.gamma, s.cls, above))
-        for x in pool.enumerate(len(banned) + len(chosen) + 1):
-            if x not in banned and x not in chosen:
-                chosen.append(x)
-                break
-        else:
+        if s.cls not in walks:
+            walks[s.cls] = iter(node_class(c.gamma, s.cls) if above is None
+                                else class_members_above(c.gamma, s.cls, above))
+        x = next((x for x in walks[s.cls] if x not in banned), None)
+        if x is None:
             raise OrdinalError(f"could not realize a fresh member of {s.cls}")
+        chosen.append(x)
     return chosen
 
 
@@ -576,10 +379,14 @@ def decide_red_closed_omega_plus_n(
     the tail class.  Away from overrides all these colors are class-level
     facts, and fresh points never meet an override, so the finite search is
     exact; the certificate's excluded list removes touched points from the
-    tail.
+    tail.  An n above MAX_N is refused before any search.
     """
     if n < 1:
         raise OrdinalError(f"need n >= 1, got {n}")
+    if n > MAX_N:
+        raise SizeLimitError(
+            f"n={n} is more than the limit of {MAX_N} for a red closed "
+            "omega+n")
     explicit = _explicit_points(c)
     touched = c.touched()
     pool = _pool(c, explicit)
@@ -627,7 +434,9 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
     within color and its cross colors to the classes of the limit and the
     tops, so those must be red, and so must every override joining a tail
     point to a tail point, the limit or a top.  Pairs among the limit and
-    the tops are read directly.  No tail point is sampled.
+    the tops are read directly, pairwise, so a red certificate with more
+    than MAX_N - 1 tops (more than any search returns) is refused unread.
+    No tail point is sampled.
     """
     if not isinstance(cert, CopyCertificate):
         raise ValueError("not a certificate")
@@ -640,6 +449,10 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
         return all(color_of(c, a, b) == BLUE for a, b in combinations(tri, 2))
     if cert.kind != "red-omega-plus-n":
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    if len(cert.top_points) >= MAX_N:
+        raise SizeLimitError(
+            f"the certificate has {len(cert.top_points)} top points, more "
+            f"than the limit of {MAX_N - 1}")
     if cert.tail_class is None or cert.limit_point is None:
         raise ValueError("red certificate needs a tail class and a limit point")
     tail_cls, p = _as_class(cert.tail_class), cert.limit_point
@@ -667,59 +480,9 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
         if col != RED and ((in_tail(a) and (in_tail(b) or b in ends))
                            or (in_tail(b) and a in ends)):
             return False
-    return all(color_of(c, a, b) == RED for a, b in combinations(ends, 2))
-
-
-# -- the two-level analysis of omega^2 --------------------------------------
-
-
-class LevelsReport(NamedTuple):
-    case: str  # "case-a" | "case-b" | "hypothesis-violated"
-    hat_color: Optional[Color]
-    violation: Optional[tuple[str, object]]
-
-
-def check_omega_squared_levels(c: QuotientColoring, n: int) -> LevelsReport:
-    """Two-level dichotomy for colorings of omega^2 (classes (1,0) and (1,1)).
-
-    Hypotheses checked first: no red closed copy of omega+n and no blue
-    closed copy of omega.  A blue closed copy of omega is an infinite
-    pairwise-blue set, which exists iff some class has within color blue
-    (overrides are finite and cannot assemble one).  Under the hypotheses the
-    limit-to-successor color c.cross((1,0),(1,1)) must be blue, which makes
-    both alternatives hold at once: every level set W_i = {w*i+m : 0<m<w}
-    then has cofinally many blue partners under cofinally many limit points,
-    again because finitely many overrides cannot thin a cofinal set.  The
-    report therefore answers "case-a" with the equivalent cofinal reading
-    recorded in hat_color, or "hypothesis-violated" with a witness.
-    """
-    omega_sq = Ordinal.omega_power(2)
-    if c.gamma != omega_sq:
-        raise OrdinalError(f"expected a coloring of {omega_sq}, got {c.gamma}")
-    if n < 1:
-        raise OrdinalError(f"need n >= 1, got {n}")
-    hom = is_omega_homogeneous(c)
-    if not hom.ok:
-        raise OrdinalError(f"coloring is not child-constant: {hom.witness}")
-    norm = is_normal(c)
-    if not norm.ok:
-        raise OrdinalError(f"coloring is not level-determined: {norm.counterexample}")
-    red = decide_red_closed_omega_plus_n(c, n)
-    if red is not None:
-        return LevelsReport("hypothesis-violated", None,
-                            ("red-omega-plus-n", red))
-    for cid in valid_classes(c.gamma):
-        if c.within[cid] == BLUE and class_size(c.gamma, cid) is None:
-            return LevelsReport("hypothesis-violated", None,
-                                ("blue-omega", cid))
-    hat = c.cross[_class_key(NodeClassId(1, 0), NodeClassId(1, 1))]
-    if hat != BLUE:
-        # With all withins red and the cross red, the all-but-overridden
-        # red coloring contains a red closed copy of omega+n (tail in (1,0)
-        # toward a fresh limit, tops fresh in (1,1)), so the red check above
-        # would have fired; this point is unreachable.
-        raise AssertionError("hypotheses hold but the level color is red")
-    return LevelsReport("case-a", hat, None)
+    # the ends increase and lie below gamma, so (a, b) is the pair's key
+    return all(c.overrides.get((a, b), c.class_pair_color(ka, kb)) == RED
+               for (a, ka), (b, kb) in combinations(zip(ends, classes[1:]), 2))
 
 
 # -- JSON round-trips --------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Exact ordinals below w^w and their tree combinatorics.
+"""Exact ordinals below w^w and the node-class partition of [0, gamma).
 
 An ordinal is kept in Cantor normal form as a tuple of (exponent, coefficient)
 terms, highest exponent first.  On top of the arithmetic this module provides
-the last-term readings cb_rank/l_count, the component index cnf_index, the
-step relation star_less with its immediate version star_children, the cone
-t_set/t_level, the pruned level sets f_set, and the (index, level) node-class
-partition.  Infinite sets are returned as BoundedEnumeration views: an exact
-membership predicate plus an increasing prefix enumerator.
+the last-term reading cb_rank, the component index cnf_index, the
+(index, level) node-class partition with exact class sizes, and the two class
+walks the deciders use: the members of a class above a bound, and an approach
+sequence toward a limit point.  Infinite classes are returned as
+BoundedEnumeration views: an exact membership predicate plus an increasing
+prefix enumerator.
 """
 
 from __future__ import annotations
@@ -67,24 +68,9 @@ class Ordinal:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_finite(self) -> bool:
-        return not self.terms or self.terms[0][0] == 0
-
-    def as_int(self) -> int:
-        if not self.is_finite():
-            raise OrdinalError(f"{self} is not finite")
-        return self.terms[0][1] if self.terms else 0
-
     def cb_rank(self) -> int:
         """Exponent of the last term; 0 for the ordinal 0."""
         return self.terms[-1][0] if self.terms else 0
-
-    def l_count(self) -> int:
-        """Coefficient of the last term; 1 for the ordinal 0."""
-        return self.terms[-1][1] if self.terms else 1
-
-    def leading_exp(self) -> int:
-        return self.terms[0][0] if self.terms else 0
 
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] > 0
@@ -131,9 +117,6 @@ class Ordinal:
         assert exp_a == exp_b and coeff_a > coeff_b
         return Ordinal(((exp_a, coeff_a - coeff_b),) + a[i + 1:])
 
-    def successor(self) -> "Ordinal":
-        return self + Ordinal.from_int(1)
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -175,15 +158,6 @@ class Ordinal:
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega_power(1)
-
-
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1 as a <, =, > b.
-
-    Term tuples (exponent, coefficient), highest exponent first, compare
-    lexicographically exactly as the ordinals do.
-    """
-    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -278,188 +252,8 @@ class BoundedEnumeration:
         return self._generator()
 
     @staticmethod
-    def of(*members: Ordinal) -> "BoundedEnumeration":
-        members_set = frozenset(members)
-        fixed = sorted(members_set)
-        return BoundedEnumeration(members_set.__contains__, lambda: iter(fixed))
-
-    @staticmethod
     def empty() -> "BoundedEnumeration":
         return BoundedEnumeration(lambda x: False, lambda: iter(()))
-
-
-# -- the step relation and its tree ---------------------------------------
-
-
-def star_less(b: Ordinal, a: Ordinal) -> bool:
-    """True iff a = b + w^theta for some theta > cb_rank(b)."""
-    if a <= b:
-        return False
-    for theta in range(b.cb_rank() + 1, a.leading_exp() + 1):
-        if b + Ordinal.omega_power(theta) == a:
-            return True
-    return False
-
-
-def star_parent(b: Ordinal) -> Ordinal:
-    """The unique immediate successor of b in the step order."""
-    return b + Ordinal.omega_power(b.cb_rank() + 1)
-
-
-def star_children(a: Ordinal) -> BoundedEnumeration:
-    """All b with star_parent(b) = a, in increasing order.
-
-    Nonempty only when cb_rank(a) = d >= 1: writing a = delta + w^d, the
-    children are delta + w^(d-1)*k for k >= 1, together with 0 when a = w.
-    """
-    d = a.cb_rank()
-    if a.is_zero() or d == 0:
-        return BoundedEnumeration.empty()
-    delta = a.decrement_last()
-    include_zero = a == OMEGA
-
-    def contains(x: Ordinal) -> bool:
-        return star_parent(x) == a
-
-    def gen() -> Iterator[Ordinal]:
-        if include_zero:
-            yield ZERO
-        k = 1
-        while True:
-            yield delta + Ordinal.omega_power(d - 1, k)
-            k += 1
-
-    return BoundedEnumeration(contains, gen)
-
-
-def t_set(a: Ordinal) -> BoundedEnumeration:
-    """T(a): everything below a in the step order, plus a itself.
-
-    Equals the interval (delta, a] for a = delta + w^c, with 0 joining in
-    when delta = 0 and c >= 1.
-    """
-    if a.is_zero():
-        return BoundedEnumeration.of(ZERO)
-    c = a.cb_rank()
-    delta = a.decrement_last()
-
-    def contains(x: Ordinal) -> bool:
-        return x == a or star_less(x, a)
-
-    def gen() -> Iterator[Ordinal]:
-        if delta.is_zero() and c >= 1:
-            yield ZERO
-        if c == 0:
-            yield a
-            return
-        k = 1
-        while True:
-            yield delta + Ordinal.from_int(k)
-            k += 1
-
-    return BoundedEnumeration(contains, gen)
-
-
-def t_level(a: Ordinal, k: int) -> BoundedEnumeration:
-    """Members of t_set(a) whose cb_rank is k."""
-    base = t_set(a)
-    c = a.cb_rank()
-
-    def contains(x: Ordinal) -> bool:
-        return x.cb_rank() == k and base.contains(x)
-
-    if k > c:
-        return BoundedEnumeration.empty()
-    if k == c:
-        return BoundedEnumeration.of(a)
-    delta = a.decrement_last()
-
-    def gen() -> Iterator[Ordinal]:
-        if delta.is_zero() and k == 0:
-            yield ZERO
-        j = 1
-        while True:
-            yield delta + Ordinal.omega_power(k, j)
-            j += 1
-
-    return BoundedEnumeration(contains, gen)
-
-
-# -- pruned level sets -----------------------------------------------------
-
-
-def _pure_f_contains(x: Ordinal, c: int, r: int, m: int) -> bool:
-    """Membership of x in the level-m set of w^c with coefficient threshold r."""
-    if x.cb_rank() != m or x > Ordinal.omega_power(c):
-        return False
-    cur = x
-    for _level in range(m, c):
-        if cur.l_count() <= r:
-            return False
-        cur = star_parent(cur)
-    return cur == Ordinal.omega_power(c)
-
-
-def _pure_f_gen(c: int, r: int, m: int) -> Iterator[Ordinal]:
-    """Increasing members of the level-m set of w^c, threshold r."""
-    if m == c:
-        yield Ordinal.omega_power(c)
-        return
-    for parent in _pure_f_gen(c, r, m + 1):
-        d = parent.cb_rank()
-        delta = parent.decrement_last()
-        if parent == OMEGA and r == 0:
-            yield ZERO
-        k = r + 1
-        while True:
-            yield delta + Ordinal.omega_power(d - 1, k)
-            k += 1
-
-
-def f_set(theta: Ordinal, r: int, m: int) -> BoundedEnumeration:
-    """Level-m tail set of theta with coefficient threshold r.
-
-    Level c = cb_rank(theta) is {theta}; each level below keeps the children
-    whose last coefficient exceeds r.  For theta = delta + w^c the members are
-    the w^c-shape members carried over by the order isomorphism
-    [0, w^c] -> (delta, theta], which shifts the finitely many finite members
-    up by one past delta.
-    """
-    c = theta.cb_rank()
-    if m > c:
-        raise OrdinalError(f"level {m} exceeds cb_rank({theta}) = {c}")
-    if c == 0:
-        return BoundedEnumeration.of(theta)
-    delta = theta.decrement_last()
-
-    if delta.is_zero():
-        pull, push = (lambda x: x), (lambda x: x)
-    else:
-        def pull(x: Ordinal) -> Ordinal:
-            if x.is_finite():
-                return delta + Ordinal.from_int(x.as_int() + 1)
-            return delta + x
-
-        def push(y: Ordinal) -> Optional[Ordinal]:
-            try:
-                xi = y.left_difference(delta)
-            except OrdinalError:
-                return None
-            if xi.is_zero():
-                return None
-            if xi.is_finite():
-                return Ordinal.from_int(xi.as_int() - 1)
-            return xi
-
-    def contains(y: Ordinal) -> bool:
-        x = push(y)
-        return x is not None and _pure_f_contains(x, c, r, m)
-
-    def gen() -> Iterator[Ordinal]:
-        for x in _pure_f_gen(c, r, m):
-            yield pull(x)
-
-    return BoundedEnumeration(contains, gen)
 
 
 # -- components and node classes ------------------------------------------
@@ -615,14 +409,6 @@ def node_class(gamma: Ordinal, cid: NodeClassId) -> BoundedEnumeration:
             k += 1
 
     return BoundedEnumeration(contains, gen)
-
-
-def class_member(gamma: Ordinal, cid: NodeClassId, rank: int = 0) -> Ordinal:
-    """The rank-th member of the class in increasing order."""
-    members = node_class(gamma, cid).enumerate(rank + 1)
-    if len(members) <= rank:
-        raise OrdinalError(f"class {cid} of {gamma} has fewer than {rank + 1} members")
-    return members[rank]
 
 
 def class_members_above(gamma: Ordinal, cid: NodeClassId,

@@ -1,15 +1,15 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here is unfolded from the definitions (star_less candidates are
-b + w^theta for the finitely many admissible theta), so the closed-form
-implementations under test can be compared against it on finite samples.
+Everything here is unfolded from the definitions (gamma written out one
+component at a time, every gap walked, every ordering tried), so the
+closed-form implementations under test can be compared against it on finite
+samples.
 The propositional oracles (truth-table enumeration, plain unit propagation)
 share no code with the solver they check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
@@ -21,7 +21,6 @@ from orw.ordinals import (
     class_members_above,
     class_size,
     node_class,
-    star_less,
     valid_classes,
 )
 
@@ -36,65 +35,10 @@ def all_ordinals(max_exp: int, max_coeff: int) -> list[Ordinal]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cached_universe(max_exp: int, max_coeff: int) -> tuple[Ordinal, ...]:
-    return tuple(all_ordinals(max_exp, max_coeff))
-
-
 def _exp_subsets(max_exp: int):
     exps = list(range(max_exp, -1, -1))
     for size in range(len(exps) + 1):
         yield from combinations(exps, size)
-
-
-def immediate_step(b: Ordinal, a: Ordinal) -> bool:
-    """b is an immediate step-predecessor of a, via star_less only.
-
-    Any intermediate would be b + w^theta for some theta, so scanning those
-    finitely many candidates decides immediacy exactly.
-    """
-    if not star_less(b, a):
-        return False
-    for theta in range(b.cb_rank() + 1, a.leading_exp() + 1):
-        mid = b + Ordinal.omega_power(theta)
-        if mid != a and star_less(mid, a):
-            return False
-    return True
-
-
-def immediate_parent_of(b: Ordinal, max_exp: int) -> Ordinal | None:
-    """The unique a <= w^max_exp-ish with immediate_step(b, a), by scanning."""
-    hits = []
-    for theta in range(b.cb_rank() + 1, max_exp + 1):
-        a = b + Ordinal.omega_power(theta)
-        if immediate_step(b, a):
-            hits.append(a)
-    assert len(hits) <= 1, f"immediate successor of {b} not unique: {hits}"
-    return hits[0] if hits else None
-
-
-@lru_cache(maxsize=None)
-def _parent_map(max_exp: int, max_coeff: int):
-    return {b: immediate_parent_of(b, max_exp)
-            for b in _cached_universe(max_exp, max_coeff)}
-
-
-def f_members_recursive(c: int, r: int, m: int,
-                        max_coeff: int = 8) -> list[Ordinal]:
-    """Unfold the level-set recursion for w^c inside a finite universe.
-
-    Complete for members whose coefficients are all < max_coeff (parent
-    chains raise a coefficient by at most one).
-    """
-    top = Ordinal.omega_power(c)
-    if m == c:
-        return [top]
-    parents = _parent_map(c, max_coeff)
-    level = {top}
-    for _ in range(c - m):
-        level = {b for b, p in parents.items()
-                 if b.l_count() > r and b < top and p in level}
-    return sorted(level)
 
 
 # -- components by coefficient-1 expansion ---------------------------------

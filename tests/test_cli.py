@@ -679,6 +679,64 @@ class TestColoring:
         assert r.exit_code == 2
         assert "node classes, more than the limit" in r.output
 
+    def test_largest_n_answers_with_a_checked_certificate(self, runner,
+                                                          tmp_path):
+        # every repeat of the one red class slot is filled at once, and
+        # each class is walked once: n = 1000 searches in well under 1 s
+        path = tmp_path / "red.json"
+        path.write_text(json.dumps({"gamma": "w^2+1"}))
+        start = time.perf_counter()
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "1000",
+                            "--json"])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 1 and r.stderr == ""
+        cert = json.loads(r.stdout)["red_omega_plus_n"]
+        assert len(cert["top_points"]) == 999
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        r = invoke(runner, ["coloring", "check", str(path), "--certificate",
+                            str(tmp_path / "cert.json")])
+        assert (r.exit_code, r.stdout) == (
+            0, "valid red-omega-plus-n certificate\n")
+
+    @pytest.mark.parametrize("n, tops", [(30, 29), (31, None)])
+    def test_point_slots_run_out_at_once(self, runner, tmp_path, n, tops):
+        # all red on w+30: the one limit is w, with the 29 points w+1..w+29
+        # above it, so omega+30 uses them all and omega+31 has too few; the
+        # search leaves a branch whose remaining slots cannot fill it, in
+        # place of trying every subset of the 29 points
+        path = tmp_path / "red.json"
+        path.write_text(json.dumps({"gamma": "w+30"}))
+        start = time.perf_counter()
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", str(n),
+                            "--json"])
+        assert time.perf_counter() - start < 1.0
+        red = json.loads(r.stdout)["red_omega_plus_n"]
+        assert r.exit_code == (1 if tops else 0)
+        assert (len(red["top_points"]) if red else None) == tops
+
+    @pytest.mark.parametrize("n", [1001, 10**6])
+    def test_n_over_the_limit_refused_unsearched(self, runner, files, n):
+        start = time.perf_counter()
+        r = invoke(runner, ["coloring", "decide", files["red"], "-n", str(n)])
+        assert time.perf_counter() - start < 1.0
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == (f"error: n={n} is more than the limit of 1000 "
+                            "for a red closed omega+n\n")
+
+    def test_certificate_over_the_top_limit_refused_unread(self, runner,
+                                                           files, tmp_path):
+        cert = json.loads(Path(files["cert"]).read_text())
+        cert["top_points"] = [f"w^2+w*{k}" for k in range(1, 5001)]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: the certificate has 5000 top points, "
+                            "more than the limit of 999\n")
+
     def test_oversized_gamma_is_not_called_malformed(self, runner, files,
                                                      tmp_path):
         # the file is well formed: the refusal prints its own message, not

@@ -19,31 +19,20 @@ from orw.coloring import (
     certificate_from_json,
     certificate_to_json,
     check_certificate,
-    check_omega_squared_levels,
     color_of,
     coloring_from_json,
     coloring_to_json,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
-    extract_canonical_table,
-    induced_coloring,
-    is_normal,
-    is_omega_homogeneous,
-    skeleton_extract,
 )
 from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import (
     NodeClassId,
     Ordinal,
     OrdinalError,
-    class_members_toward,
-    class_size,
     classify,
     node_class,
     parse as o,
-    partial_sum,
-    star_less,
-    star_parent,
     valid_classes,
 )
 from orw.ramsey import builtin_record, relabel_red_prefix
@@ -171,224 +160,6 @@ class TestBuildAndColorOf:
         c = witness_coloring_3()
         assert coloring_to_json(c) == coloring_to_json(
             coloring_from_json(coloring_to_json(c)))
-
-
-# -- child-set constancy ------------------------------------------------------
-
-
-class TestOmegaHomogeneous:
-    def test_pure_tables_always_pass(self):
-        assert is_omega_homogeneous(witness_coloring_3()).ok
-        assert is_omega_homogeneous(QuotientColoring.uniform("w^3", BLUE)).ok
-
-    def test_cross_blue_without_overrides_passes(self):
-        c = QuotientColoring.build("w*2", cross={((1, 0), (2, 0)): 1})
-        assert is_omega_homogeneous(c).ok
-
-    def test_disagreeing_sibling_override_caught(self):
-        # w and w*2 are both children of w^2, class (1,1)
-        c = QuotientColoring.build("w^2*2", overrides={("w", "w*2"): BLUE})
-        rep = is_omega_homogeneous(c)
-        assert not rep.ok
-        assert rep.witness == (o("w^2"), o("w"), o("w*2"))
-
-    def test_agreeing_sibling_override_ignored(self):
-        c = QuotientColoring.build("w^2*2", overrides={("w", "w*2"): RED})
-        assert is_omega_homogeneous(c).ok
-
-    def test_non_sibling_override_ignored(self):
-        # 3 is a child of w, w*2+1 a child of w*3: different parents
-        c = QuotientColoring.build("w^2", overrides={("3", "w*2+1"): BLUE})
-        assert is_omega_homogeneous(c).ok
-
-    def test_sibling_pair_with_parent_outside_space_ignored(self):
-        # w and w*2 share the parent w^2, which is not below gamma = w*2+1
-        c = QuotientColoring.build("w*2+1", overrides={("w", "w*2"): BLUE})
-        assert is_omega_homogeneous(c).ok
-
-
-# -- level-determined colors --------------------------------------------------
-
-
-class TestNormal:
-    def test_all_red_table_zero(self):
-        rep = is_normal(QuotientColoring.uniform("w^2*2", RED))
-        assert rep.ok
-        assert set(rep.table.entries.values()) == {0}
-        assert rep.table.hat(1, 2, 0) == 0
-
-    def test_witness_fixture_table(self):
-        rep = is_normal(witness_coloring_3())
-        assert rep.ok
-        for i in (1, 2, 3):
-            assert rep.table.hat(i, 1, 0) == 1
-            assert rep.table.hat(i, 2, 1) == 1
-            assert rep.table.hat(i, 2, 0) == 0
-        assert rep.table.hat(4, 1, 0) == 1
-        assert rep.table.hat(6, 1, 0) == 0
-
-    def test_table_is_cross_on_level_pairs(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            c = random_coloring(rng, "w^2*2+w+1", max_overrides=0)
-            rep = is_normal(c)
-            assert rep.ok
-            for (i, j2, j1), col in rep.table.entries.items():
-                a, b = NodeClassId(i, j1), NodeClassId(i, j2)
-                assert col == c.cross[(a, b) if a <= b else (b, a)]
-
-    def test_flipping_step_pair_breaks_normality(self):
-        # 3 <* w (w = 3 + w^1, 1 > 0): override disagrees with cross=0
-        c = QuotientColoring.build("w^2", overrides={("3", "w"): BLUE})
-        rep = is_normal(c)
-        assert not rep.ok
-        assert rep.counterexample == (o("3"), o("w"))
-
-    def test_agreeing_step_override_fine(self):
-        c = QuotientColoring.build("w^2", overrides={("3", "w"): RED})
-        assert is_normal(c).ok
-
-    def test_non_step_override_irrelevant(self):
-        # 3 and 5 are not step-related; neither are w and w*2
-        c = QuotientColoring.build(
-            "w^2", overrides={("3", "5"): BLUE, ("w", "w*2"): BLUE})
-        assert is_normal(c).ok
-
-
-class TestCanonicalTable:
-    def test_equals_cross_re_keyed(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            c = random_coloring(rng, "w^2+w*2+2", max_overrides=0)
-            table = extract_canonical_table(c)
-            for (i, j, k, l), col in table.entries.items():
-                a, b = NodeClassId(i, j), NodeClassId(k, l)
-                assert k != i
-                assert col == c.cross[(a, b) if a <= b else (b, a)]
-
-    def test_witness_fixture_values(self):
-        t = extract_canonical_table(witness_coloring_3())
-        for i in (1, 2, 3):
-            for k in (1, 2, 3):
-                if k != i:
-                    assert t.tilde(i, 0, k, 2) == (1 if k < i else 0)
-        assert t.tilde(4, 0, 1, 0) == 1
-        assert t.tilde(2, 0, 3, 2) == 0
-
-    def test_all_red_table(self):
-        t = extract_canonical_table(QuotientColoring.uniform("w*3", RED))
-        assert set(t.entries.values()) == {0}
-
-    def test_precondition_enforced(self):
-        broken = QuotientColoring.build("w^2*2", overrides={("w", "w*2"): BLUE})
-        with pytest.raises(OrdinalError):
-            extract_canonical_table(broken)
-        not_level = QuotientColoring.build("w^2", overrides={("3", "w"): BLUE})
-        with pytest.raises(OrdinalError):
-            extract_canonical_table(not_level)
-
-    def test_includes_singleton_target_levels(self):
-        t = extract_canonical_table(QuotientColoring.uniform("w^2+w", RED))
-        # target class (1,2) is the singleton {w^2}: present as a target level
-        assert (2, 0, 1, 2) in t.entries
-        # the empty top class of the last component is not a target
-        assert all(not (k == 2 and l == 1) for (_, _, k, l) in t.entries)
-
-
-# -- skeletons ---------------------------------------------------------------
-
-
-class TestSkeleton:
-    def test_plain_coloring_identity_map(self):
-        c = QuotientColoring.uniform("w^2*2", RED)
-        sk = skeleton_extract(c)
-        assert sk.excluded == frozenset()
-        for x in ("0", "5", "w", "w*4+2", "w^2", "w^2+w+1"):
-            assert sk.apply(o(x)) == o(x)
-
-    def test_image_avoids_overridden_children(self):
-        c = QuotientColoring.build(
-            "w^2*2", overrides={("w", "w*2"): BLUE, ("w*4", "w*7"): BLUE})
-        sk = skeleton_extract(c)
-        prefix = sk.image().enumerate(40)
-        dead = {o("w"), o("w*2"), o("w*4"), o("w*7")}
-        assert dead.isdisjoint(prefix)
-        for x in dead:
-            assert not sk.contains(x)
-        # image slides children past the excluded ones
-        assert sk.apply(o("w")) == o("w*3")
-        assert sk.apply(o("w*2")) == o("w*5")
-
-    def test_tops_survive_and_keep_overrides(self):
-        c = QuotientColoring.build(
-            "w^2*2+1", overrides={("w^2", "w^2*2"): BLUE, ("w", "w*3"): BLUE})
-        sk = skeleton_extract(c)
-        assert sk.apply(o("w^2")) == o("w^2")
-        assert sk.apply(o("w^2*2")) == o("w^2*2")
-        ci = induced_coloring(c, sk)
-        assert ci.overrides == {(o("w^2"), o("w^2*2")): BLUE}
-        assert is_omega_homogeneous(ci).ok
-
-    def test_randomized_skeletons_give_child_constant_colorings(self):
-        rng = random.Random(23)
-        gamma = o("w^2*2+1")
-        for _ in range(100):
-            c = random_coloring(rng, gamma, max_overrides=4)
-            sk = skeleton_extract(c)
-            ci = induced_coloring(c, sk)
-            assert is_omega_homogeneous(ci).ok
-            # the defining identity, pointwise on a sample
-            pts = [o(s) for s in
-                   ("0", "1", "7", "w", "w+3", "w*2", "w^2", "w^2+1",
-                    "w^2+w", "w^2+w*3+1", "w^2*2")]
-            for a, b in combinations(pts, 2):
-                assert color_of(ci, a, b) == color_of(
-                    c, sk.apply(a), sk.apply(b))
-
-    def test_map_is_increasing_and_class_preserving(self):
-        rng = random.Random(5)
-        gamma = o("w^2*2+1")
-        for _ in range(25):
-            c = random_coloring(rng, gamma, max_overrides=4)
-            sk = skeleton_extract(c)
-            pts = [o(s) for s in
-                   ("0", "2", "9", "w", "w+1", "w*3", "w*5+2", "w^2",
-                    "w^2+4", "w^2+w", "w^2+w*2+1", "w^2*2")]
-            images = [sk.apply(x) for x in pts]
-            for (x, fx), (y, fy) in combinations(zip(pts, images), 2):
-                assert (x < y) == (fx < fy)
-                assert star_less(x, y) == star_less(fx, fy)
-            for x, fx in zip(pts, images):
-                assert classify(gamma, x) == classify(gamma, fx)
-                assert sk.contains(fx)
-
-    def test_finite_depth_continuity(self):
-        rng = random.Random(71)
-        gamma = o("w^2*2+1")
-        for _ in range(10):
-            c = random_coloring(rng, gamma, max_overrides=4)
-            sk = skeleton_extract(c)
-            for limit in (o("w"), o("w*4"), o("w^2"), o("w^2+w*2"), o("w^2*2")):
-                fx = sk.apply(limit)
-                below = fx.decrement_last()
-                seq = class_members_toward(gamma, limit,
-                                           limit.cb_rank() - 1).enumerate(8)
-                images = [sk.apply(x) for x in seq]
-                assert all(a < b for a, b in zip(images, images[1:]))
-                # images enter the final block below f(limit): sup matches
-                assert all(below < y < fx for y in images[2:])
-
-    def test_homogeneity_transport(self):
-        c = QuotientColoring.build(
-            "w^2*2+1", within={(1, 0): 1},
-            overrides={("3", "8"): 0, ("w", "w*2"): 1})
-        sk = skeleton_extract(c)
-        ci = induced_coloring(c, sk)
-        pre = [o("1"), o("2"), o("5"), o("11")]
-        img = [sk.apply(x) for x in pre]
-        colors = {color_of(c, a, b) for a, b in combinations(img, 2)}
-        assert colors == {1}
-        assert {color_of(ci, a, b) for a, b in combinations(pre, 2)} == colors
 
 
 # -- blue triangles ----------------------------------------------------------
@@ -686,57 +457,3 @@ def test_limit_candidates_walk_only_reachable_gaps():
         assert got == limit_candidates_all_gaps(c, explicit), c.gamma
         fresh += len(set(got) - set(explicit))
     assert fresh > 100
-
-
-# -- the two-level dichotomy on omega^2 --------------------------------------
-
-
-class TestOmegaSquaredLevels:
-    def test_blue_level_pair_gives_case_a(self):
-        c = QuotientColoring.build("w^2", cross={((1, 0), (1, 1)): 1})
-        rep = check_omega_squared_levels(c, 3)
-        assert rep.case == "case-a"
-        assert rep.hat_color == 1
-
-    def test_all_red_violates_red_hypothesis(self):
-        rep = check_omega_squared_levels(QuotientColoring.uniform("w^2", RED), 3)
-        assert rep.case == "hypothesis-violated"
-        kind, cert = rep.violation
-        assert kind == "red-omega-plus-n"
-        assert check_certificate(QuotientColoring.uniform("w^2", RED), cert)
-
-    def test_blue_within_violates_blue_hypothesis(self):
-        c = QuotientColoring.build(
-            "w^2", within={(1, 1): 1}, cross={((1, 0), (1, 1)): 1})
-        rep = check_omega_squared_levels(c, 3)
-        assert rep.case == "hypothesis-violated"
-        assert rep.violation == ("blue-omega", NodeClassId(1, 1))
-
-    def test_case_a_stable_under_overrides(self):
-        # red overrides cannot destroy the cofinal blue pattern between the
-        # successor level and the limit level; the chosen pairs are neither
-        # step-related nor siblings, so the coloring stays in scope
-        overrides = {(f"w*{i}+{m}", "w*4"): 0
-                     for i in (1, 2) for m in (1, 2)}
-        c = QuotientColoring.build(
-            "w^2", cross={((1, 0), (1, 1)): 1}, overrides=overrides)
-        rep = check_omega_squared_levels(c, 3)
-        assert rep.case == "case-a"
-        # hand check of the cofinal reading on samples: for each level block,
-        # all but finitely many successor points pair blue with each limit
-        for i in (1, 2, 3):
-            for limit_mult in (4, 6, 9):
-                blues = sum(
-                    color_of(c, o(f"w*{i}+{m}"), o(f"w*{limit_mult}")) == 1
-                    for m in range(1, 30))
-                assert blues >= 27
-
-    def test_preconditions_enforced(self):
-        with pytest.raises(OrdinalError):
-            check_omega_squared_levels(QuotientColoring.uniform("w^3", RED), 3)
-        sib = QuotientColoring.build("w^2", overrides={("1", "2"): 1})
-        with pytest.raises(OrdinalError):
-            check_omega_squared_levels(sib, 3)
-        notnorm = QuotientColoring.build("w^2", overrides={("3", "w"): 1})
-        with pytest.raises(OrdinalError):
-            check_omega_squared_levels(notnorm, 3)

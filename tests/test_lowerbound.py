@@ -11,9 +11,6 @@ from orw.coloring import (
     color_of,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
-    extract_canonical_table,
-    is_normal,
-    is_omega_homogeneous,
 )
 from orw.lowerbound import (
     GnGraph,
@@ -176,13 +173,6 @@ class TestInducedColoring:
         assert len(r_classes) == 3
         for a, b in combinations(r_classes, 2):
             assert c.class_pair_color(a, b) == 0
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_homogeneous_and_normal(self, n):
-        _, _, c = pipeline(n)
-        assert is_omega_homogeneous(c).ok
-        assert is_normal(c).ok
-        extract_canonical_table(c)
 
     def test_agrees_with_handmade_coloring_up_to_isomorphism(self):
         # the hand-built copy uses a different (isomorphic) witness labeling

@@ -17,13 +17,11 @@ from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
     MAX_CLAUSES,
     MAX_VARIABLES,
-    ClauseSystem,
     VariableSpace,
     assignment_from_coloring,
     catalogue_size,
     first_violated_clause,
     instantiate_clauses,
-    model_tables,
     replay_theorem,
     space_size,
 )
