@@ -13,6 +13,7 @@ from orw.coloring import (
     check_certificate,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
+    is_omega_homogeneous,
 )
 from orw.lowerbound import verify_lower_bound
 from orw.ordinals import NodeClassId, Ordinal, OrdinalError, classify, parse
@@ -40,6 +41,7 @@ __all__ = [
     "decide_blue_closed_3",
     "decide_red_closed_omega_plus_n",
     "instantiate_clauses",
+    "is_omega_homogeneous",
     "parse",
     "ramsey_value",
     "replay_theorem",

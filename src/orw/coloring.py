@@ -4,10 +4,12 @@ A quotient coloring assigns a color to every unordered pair of points below
 gamma using three layers: a `within` color per class (pairs inside one class),
 a `cross` color per unordered pair of distinct classes, and a finite map of
 per-pair overrides.  Because all but finitely many pairs take their color from
-the class tables, the existence of a small homogeneous closed copy (a blue
-triangle, a red closed copy of omega+n) is exactly decidable by a finite
-search, and every copy found comes with a certificate that `check_certificate`
-re-verifies independently of the search.
+the class tables, omega-homogeneity (one color on the child pairs of each
+point of the step order) reduces to a scan of the overrides, and the existence
+of a small homogeneous closed copy (a blue triangle, a red closed copy of
+omega+n) is exactly decidable by a finite search; every copy found comes with
+a certificate that `check_certificate` re-verifies independently of the
+search.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .ordinals import (
     node_class,
     parse,
     partial_sum,
+    star_parent,
     valid_classes,
 )
 
@@ -51,7 +54,9 @@ __all__ = [
     "MAX_N",
     "QuotientColoring",
     "CopyCertificate",
+    "HomogeneityReport",
     "color_of",
+    "is_omega_homogeneous",
     "decide_blue_closed_3",
     "decide_red_closed_omega_plus_n",
     "check_certificate",
@@ -185,6 +190,28 @@ def color_of(c: QuotientColoring, a, b) -> Color:
     if key in c.overrides:
         return c.overrides[key]
     return c.class_pair_color(classify(c.gamma, a), classify(c.gamma, b))
+
+
+class HomogeneityReport(NamedTuple):
+    ok: bool
+    witness: Optional[tuple[Ordinal, Ordinal, Ordinal]]  # (parent, b1, b2)
+
+
+def is_omega_homogeneous(c: QuotientColoring) -> HomogeneityReport:
+    """Check that for each point a < gamma, pairs of children of a share one color.
+
+    The children of any point all lie in a single class, so the child-pair
+    colors are the class's within color except on overridden pairs; the check
+    reduces to scanning overrides for a disagreeing sibling pair whose shared
+    parent is itself below gamma.
+    """
+    for (x, y) in sorted(c.overrides):
+        parent = star_parent(x)
+        if parent != star_parent(y) or parent >= c.gamma:
+            continue
+        if c.overrides[(x, y)] != c.within[classify(c.gamma, x)]:
+            return HomogeneityReport(False, (parent, x, y))
+    return HomogeneityReport(True, None)
 
 
 # -- homogeneous closed copies ----------------------------------------------

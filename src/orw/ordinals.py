@@ -2,12 +2,13 @@
 
 An ordinal is kept in Cantor normal form as a tuple of (exponent, coefficient)
 terms, highest exponent first.  On top of the arithmetic this module provides
-the last-term reading cb_rank, the component index cnf_index, the
-(index, level) node-class partition with exact class sizes, and the two class
-walks the deciders use: the members of a class above a bound, and an approach
-sequence toward a limit point.  Infinite classes are returned as
-BoundedEnumeration views: an exact membership predicate plus an increasing
-prefix enumerator.
+the last-term reading cb_rank, the step order <* (b <* a when a = b + w^theta
+with theta > cb_rank(b)) with its parent and children, the component index
+cnf_index, the (index, level) node-class partition with exact class sizes,
+and the two class walks the deciders use: the members of a class above a
+bound, and an approach sequence toward a limit point.  Infinite sets are
+returned as BoundedEnumeration views: an exact membership predicate plus an
+increasing prefix enumerator.
 """
 
 from __future__ import annotations
@@ -254,6 +255,46 @@ class BoundedEnumeration:
     @staticmethod
     def empty() -> "BoundedEnumeration":
         return BoundedEnumeration(lambda x: False, lambda: iter(()))
+
+
+# -- the step relation and its tree ---------------------------------------
+
+
+def star_less(b: Ordinal, a: Ordinal) -> bool:
+    """True iff a = b + w^theta for some theta > cb_rank(b)."""
+    return a > b and any(b + Ordinal.omega_power(theta) == a for theta in
+                         range(b.cb_rank() + 1, a.terms[0][0] + 1))
+
+
+def star_parent(b: Ordinal) -> Ordinal:
+    """The unique immediate successor of b in the step order."""
+    return b + Ordinal.omega_power(b.cb_rank() + 1)
+
+
+def star_children(a: Ordinal) -> BoundedEnumeration:
+    """All b with star_parent(b) = a, in increasing order.
+
+    Nonempty only when cb_rank(a) = d >= 1: writing a = delta + w^d, the
+    children are delta + w^(d-1)*k for k >= 1, together with 0 when a = w.
+    """
+    d = a.cb_rank()
+    if d == 0:
+        return BoundedEnumeration.empty()
+    delta = a.decrement_last()
+    include_zero = a == OMEGA
+
+    def contains(x: Ordinal) -> bool:
+        return star_parent(x) == a
+
+    def gen() -> Iterator[Ordinal]:
+        if include_zero:
+            yield ZERO
+        k = 1
+        while True:
+            yield delta + Ordinal.omega_power(d - 1, k)
+            k += 1
+
+    return BoundedEnumeration(contains, gen)
 
 
 # -- components and node classes ------------------------------------------

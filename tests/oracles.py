@@ -21,6 +21,7 @@ from orw.ordinals import (
     class_members_above,
     class_size,
     node_class,
+    star_less,
     valid_classes,
 )
 
@@ -39,6 +40,21 @@ def _exp_subsets(max_exp: int):
     exps = list(range(max_exp, -1, -1))
     for size in range(len(exps) + 1):
         yield from combinations(exps, size)
+
+
+def immediate_step(b: Ordinal, a: Ordinal) -> bool:
+    """b is an immediate step-predecessor of a, via star_less only.
+
+    Any intermediate would be b + w^theta for some theta, so scanning those
+    finitely many candidates decides immediacy exactly.
+    """
+    if not star_less(b, a):
+        return False
+    for theta in range(b.cb_rank() + 1, a.terms[0][0] + 1):
+        mid = b + Ordinal.omega_power(theta)
+        if mid != a and star_less(mid, a):
+            return False
+    return True
 
 
 # -- components by coefficient-1 expansion ---------------------------------

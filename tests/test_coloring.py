@@ -24,6 +24,7 @@ from orw.coloring import (
     coloring_to_json,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
+    is_omega_homogeneous,
 )
 from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
 from orw.ordinals import (
@@ -160,6 +161,40 @@ class TestBuildAndColorOf:
         c = witness_coloring_3()
         assert coloring_to_json(c) == coloring_to_json(
             coloring_from_json(coloring_to_json(c)))
+
+
+# -- constancy on child sets -------------------------------------------------
+
+
+class TestOmegaHomogeneous:
+    def test_pure_tables_always_pass(self):
+        assert is_omega_homogeneous(witness_coloring_3()).ok
+        assert is_omega_homogeneous(QuotientColoring.uniform("w^3", BLUE)).ok
+
+    def test_cross_blue_without_overrides_passes(self):
+        c = QuotientColoring.build("w*2", cross={((1, 0), (2, 0)): 1})
+        assert is_omega_homogeneous(c).ok
+
+    def test_disagreeing_sibling_override_caught(self):
+        # w and w*2 are both children of w^2, class (1,1)
+        c = QuotientColoring.build("w^2*2", overrides={("w", "w*2"): BLUE})
+        rep = is_omega_homogeneous(c)
+        assert not rep.ok
+        assert rep.witness == (o("w^2"), o("w"), o("w*2"))
+
+    def test_agreeing_sibling_override_ignored(self):
+        c = QuotientColoring.build("w^2*2", overrides={("w", "w*2"): RED})
+        assert is_omega_homogeneous(c).ok
+
+    def test_non_sibling_override_ignored(self):
+        # 3 is a child of w, w*2+1 a child of w*3: different parents
+        c = QuotientColoring.build("w^2", overrides={("3", "w*2+1"): BLUE})
+        assert is_omega_homogeneous(c).ok
+
+    def test_sibling_pair_with_parent_outside_space_ignored(self):
+        # w and w*2 share the parent w^2, which is not below gamma = w*2+1
+        c = QuotientColoring.build("w*2+1", overrides={("w", "w*2"): BLUE})
+        assert is_omega_homogeneous(c).ok
 
 
 # -- blue triangles ----------------------------------------------------------

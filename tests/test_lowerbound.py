@@ -11,6 +11,7 @@ from orw.coloring import (
     color_of,
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
+    is_omega_homogeneous,
 )
 from orw.lowerbound import (
     GnGraph,
@@ -22,7 +23,14 @@ from orw.lowerbound import (
     lower_bound_gamma,
     verify_lower_bound,
 )
-from orw.ordinals import NodeClassId, OrdinalError, classify, parse, valid_classes
+from orw.ordinals import (
+    NodeClassId,
+    OrdinalError,
+    classify,
+    node_class,
+    parse,
+    valid_classes,
+)
 from orw.ramsey import (
     RamseyError,
     RamseyRecord,
@@ -173,6 +181,18 @@ class TestInducedColoring:
         assert len(r_classes) == 3
         for a, b in combinations(r_classes, 2):
             assert c.class_pair_color(a, b) == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_homogeneous_and_normal(self, n):
+        # with no overrides every pair takes its class-table color, so the
+        # coloring is omega-homogeneous and its colors depend on classes only
+        _, _, c = pipeline(n)
+        assert is_omega_homogeneous(c).ok
+        pts = sorted({x for cid in valid_classes(c.gamma)
+                      for x in node_class(c.gamma, cid).enumerate(2)})
+        for a, b in combinations(pts, 2):
+            assert color_of(c, a, b) == c.class_pair_color(
+                classify(c.gamma, a), classify(c.gamma, b))
 
     def test_agrees_with_handmade_coloring_up_to_isomorphism(self):
         # the hand-built copy uses a different (isomorphic) witness labeling

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -9,6 +9,7 @@ from oracles import (
     class_size_expanded,
     cnf_index_expanded,
     expansion,
+    immediate_step,
     is_valid_class_expanded,
     partial_sum_expanded,
     valid_classes_expanded,
@@ -32,6 +33,9 @@ from orw.ordinals import (
     node_class,
     parse,
     partial_sum,
+    star_children,
+    star_less,
+    star_parent,
     valid_classes,
 )
 
@@ -163,6 +167,63 @@ def test_partial_sums():
     assert partial_sum(g, 2) == o("w^2*2")
     assert partial_sum(g, 4) == o("w^2*3+w")
     assert partial_sum(g, 8) == g
+
+
+# -- the step relation -----------------------------------------------------
+
+
+def test_star_less_examples():
+    assert star_less(OMEGA, o("w^2"))
+    assert not star_less(o("w*2"), o("w*3"))
+    assert not star_less(o("5"), o("w^2*2+w"))
+    assert star_less(ZERO, OMEGA)
+    assert star_less(ZERO, o("w^2"))
+    assert not star_less(ZERO, ONE)
+    assert not star_less(OMEGA, OMEGA)
+
+
+def test_star_parent_steps_one_level_up():
+    assert star_parent(ZERO) == OMEGA
+    assert star_parent(o("7")) == OMEGA
+    assert star_parent(o("w*3")) == o("w^2")
+    assert star_parent(o("w^2+w")) == o("w^2*2")
+
+
+def test_star_children_examples():
+    assert star_children(o("w^2")).enumerate(3) == [o("w"), o("w*2"), o("w*3")]
+    assert star_children(o("7")).enumerate(5) == []
+    assert star_children(ZERO).enumerate(5) == []
+    # children of w include 0
+    assert star_children(OMEGA).enumerate(4) == [ZERO, o("1"), o("2"), o("3")]
+    assert star_children(OMEGA).contains(ZERO)
+    assert not star_children(o("w^2")).contains(ZERO)
+    # within a larger ambient: children of w^2*(i-1)+w*(t+1) are w^2*(i-1)+w*t+m
+    assert star_children(o("w^2+w*2")).enumerate(3) == \
+        [o("w^2+w+1"), o("w^2+w+2"), o("w^2+w+3")]
+
+
+def test_star_children_against_bruteforce():
+    universe = all_ordinals(3, 12)
+    samples = [o("w"), o("w^2"), o("w^3"), o("w*4"), o("w^2+w"),
+               o("w^2*2"), o("w^2*3+w*2"), o("w^3+w^2"), o("w^2+w*3")]
+    for a in samples:
+        view = star_children(a)
+        for b in all_ordinals(3, 4):
+            assert view.contains(b) == immediate_step(b, a), (a, b)
+        got = view.enumerate(10)
+        assert got == sorted(got)
+        expected = [b for b in universe if immediate_step(b, a)][:10]
+        assert got == expected, a
+
+
+@given(ordinals(max_exp=3, max_coeff=4))
+@settings(max_examples=60)
+def test_children_are_immediate_and_one_rank_down(a):
+    d = a.cb_rank()
+    for b in star_children(a).enumerate(6):
+        assert star_less(b, a)
+        assert b.cb_rank() == d - 1 or (b.is_zero() and a == OMEGA)
+        assert star_parent(b) == a
 
 
 # -- node classes ----------------------------------------------------------
@@ -301,7 +362,8 @@ def test_closed_forms_match_the_expansion():
 
 def test_enumeration_prefix_stability():
     g = o("w^2*2")
-    views = [node_class(g, NodeClassId(1, 1)), node_class(g, NodeClassId(2, 0)),
+    views = [star_children(g), node_class(g, NodeClassId(1, 1)),
+             node_class(g, NodeClassId(2, 0)),
              class_members_above(g, NodeClassId(1, 0), o("w*3+4")),
              class_members_toward(g, o("w^2+w*2"), 0)]
     for v in views:
