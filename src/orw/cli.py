@@ -89,20 +89,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_coloring(path: str):
+def _load(path: str, reader, what: str):
+    """`reader` applied to the file's text; whatever it refuses, except for
+    size, makes the file a malformed `what` file."""
     try:
-        return coloring_from_json(_read(path))
+        return reader(_read(path))
     except SizeLimitError:
         raise  # well-formed, refused for its size: its own message says so
     except (KeyError, TypeError, ValueError) as exc:
-        raise OrdinalError(f"malformed coloring file: {exc!r}")
-
-
-def _load_certificate(path: str):
-    try:
-        return certificate_from_json(_read(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OrdinalError(f"malformed certificate file: {exc!r}")
+        raise OrdinalError(f"malformed {what} file: {exc!r}")
 
 
 def _emit(doc: dict) -> None:
@@ -388,12 +383,8 @@ def cmd_ramsey_brute(n: int, as_json: bool) -> None:
 @_guarded
 def cmd_ramsey_verify(n: int, witness_path: str, as_json: bool) -> None:
     """Check a witness file: triangle-free, no independent set of size n."""
-    try:
-        g = witness_graph_from_doc(json.loads(_read(witness_path)))
-    except SizeLimitError:
-        raise  # well-formed, refused for its order: its own message says so
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RamseyError(f"malformed witness file: {exc!r}")
+    g = _load(witness_path,
+              lambda text: witness_graph_from_doc(json.loads(text)), "witness")
     rep = verify_witness(g, n)
     if as_json:
         _emit({"n": n, "order": g.order, "ok": rep.ok,
@@ -463,7 +454,7 @@ def coloring() -> None:
 @_guarded
 def cmd_coloring_decide(file: str, n: int, as_json: bool) -> None:
     """Search a coloring file for a blue triple or red closed omega+n."""
-    c = _load_coloring(file)
+    c = _load(file, coloring_from_json, "coloring")
     red = decide_red_closed_omega_plus_n(c, n)  # refuses a large n unsearched
     blue = decide_blue_closed_3(c)
     if as_json:
@@ -488,8 +479,8 @@ def cmd_coloring_decide(file: str, n: int, as_json: bool) -> None:
 @_guarded
 def cmd_coloring_check(file: str, cert_path: str, as_json: bool) -> None:
     """Re-verify a homogeneous-copy certificate against a coloring."""
-    c = _load_coloring(file)
-    cert = _load_certificate(cert_path)
+    c = _load(file, coloring_from_json, "coloring")
+    cert = _load(cert_path, certificate_from_json, "certificate")
     try:
         ok = check_certificate(c, cert)
     except SizeLimitError:

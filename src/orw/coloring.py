@@ -4,12 +4,10 @@ A quotient coloring assigns a color to every unordered pair of points below
 gamma using three layers: a `within` color per class (pairs inside one class),
 a `cross` color per unordered pair of distinct classes, and a finite map of
 per-pair overrides.  Because all but finitely many pairs take their color from
-the class tables, omega-homogeneity (one color on the child pairs of each
-point of the step order) reduces to a scan of the overrides, and the existence
-of a small homogeneous closed copy (a blue triangle, a red closed copy of
-omega+n) is exactly decidable by a finite search; every copy found comes with
-a certificate that `check_certificate` re-verifies independently of the
-search.
+the class tables, the existence of a small homogeneous closed copy (a blue
+triangle, a red closed copy of omega+n) is exactly decidable by a finite
+search; every copy found comes with a certificate that `check_certificate`
+re-verifies independently of the search.
 """
 
 from __future__ import annotations
@@ -25,16 +23,14 @@ from .ordinals import (
     Ordinal,
     OrdinalError,
     SizeLimitError,
-    class_members_above,
-    class_members_toward,
     class_size,
     class_count,
     classify,
     is_valid_class,
     node_class,
+    on_approach,
     parse,
     partial_sum,
-    star_parent,
     valid_classes,
 )
 
@@ -54,9 +50,7 @@ __all__ = [
     "MAX_N",
     "QuotientColoring",
     "CopyCertificate",
-    "HomogeneityReport",
     "color_of",
-    "is_omega_homogeneous",
     "decide_blue_closed_3",
     "decide_red_closed_omega_plus_n",
     "check_certificate",
@@ -192,28 +186,6 @@ def color_of(c: QuotientColoring, a, b) -> Color:
     return c.class_pair_color(classify(c.gamma, a), classify(c.gamma, b))
 
 
-class HomogeneityReport(NamedTuple):
-    ok: bool
-    witness: Optional[tuple[Ordinal, Ordinal, Ordinal]]  # (parent, b1, b2)
-
-
-def is_omega_homogeneous(c: QuotientColoring) -> HomogeneityReport:
-    """Check that for each point a < gamma, pairs of children of a share one color.
-
-    The children of any point all lie in a single class, so the child-pair
-    colors are the class's within color except on overridden pairs; the check
-    reduces to scanning overrides for a disagreeing sibling pair whose shared
-    parent is itself below gamma.
-    """
-    for (x, y) in sorted(c.overrides):
-        parent = star_parent(x)
-        if parent != star_parent(y) or parent >= c.gamma:
-            continue
-        if c.overrides[(x, y)] != c.within[classify(c.gamma, x)]:
-            return HomogeneityReport(False, (parent, x, y))
-    return HomogeneityReport(True, None)
-
-
 # -- homogeneous closed copies ----------------------------------------------
 
 
@@ -247,9 +219,8 @@ def _explicit_points(c: QuotientColoring) -> list[Ordinal]:
     """Override-touched points plus all members of finite classes, sorted."""
     pts = set(c.touched())
     for cid in valid_classes(c.gamma):
-        size = class_size(c.gamma, cid)
-        if size is not None:
-            pts.update(node_class(c.gamma, cid).enumerate(size))
+        if class_size(c.gamma, cid) is not None:
+            pts.update(node_class(c.gamma, cid))
     return sorted(pts)
 
 
@@ -330,8 +301,7 @@ def _materialize(c: QuotientColoring, slots: list[_Slot],
             chosen.append(s.point)
             continue
         if s.cls not in walks:
-            walks[s.cls] = iter(node_class(c.gamma, s.cls) if above is None
-                                else class_members_above(c.gamma, s.cls, above))
+            walks[s.cls] = node_class(c.gamma, s.cls, above)
         x = next((x for x in walks[s.cls] if x not in banned), None)
         if x is None:
             raise OrdinalError(f"could not realize a fresh member of {s.cls}")
@@ -381,9 +351,7 @@ def _limit_candidates(c: QuotientColoring,
         first = bisect_right(explicit, partial_sum(c.gamma, cid.index - 1))
         last = bisect_left(explicit, partial_sum(c.gamma, cid.index))
         for lo, hi in zip(bounds[first:last + 1], bounds[first + 1:last + 2]):
-            view = (node_class(c.gamma, cid) if lo is None
-                    else class_members_above(c.gamma, cid, lo))
-            for x in islice(view, skip):
+            for x in islice(node_class(c.gamma, cid, lo), skip):
                 if hi is not None and not x < hi:
                     break
                 if x not in touched and x not in out:
@@ -497,11 +465,10 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
     classes = [tail_cls] + [classify(c.gamma, x) for x in ends]
     if any(c.class_pair_color(tail_cls, k) != RED for k in classes):
         return False
-    approach = class_members_toward(c.gamma, p, tail_cls.level)
     avoid = set(cert.excluded)
 
     def in_tail(x: Ordinal) -> bool:
-        return x not in avoid and approach.contains(x)
+        return x not in avoid and on_approach(p, tail_cls.level, x)
 
     for (a, b), col in c.overrides.items():
         if col != RED and ((in_tail(a) and (in_tail(b) or b in ends))
@@ -561,13 +528,17 @@ def _json_ordinal(x, what: str):
     return x
 
 
-def _json_table(entries, key_of, names) -> dict:
-    """One table of a coloring file, its entries read once and in order.
+def _json_table(doc: dict, name: str, key_of, names) -> dict:
+    """The table `name` of a coloring file, a JSON list (empty when absent)
+    whose entries are read once and in order.
 
     A key given twice must repeat its color; `names(key)` says what the
     two colors conflict on.  A pair written in both orders reaches build
     as two keys, and build refuses it there with the same message.
     """
+    entries = doc.get(name, [])
+    if type(entries) is not list:
+        raise OrdinalError(f"table {name} is not a list")
     table = {}
     for e in entries:
         key, color = key_of(e), e["color"]
@@ -581,23 +552,24 @@ def _json_table(entries, key_of, names) -> dict:
 def coloring_from_json(text: str) -> QuotientColoring:
     """Read a coloring file with exact JSON types, refusing contradictions.
 
-    A class element must be a JSON integer and a color the integer 0 or 1;
-    gamma and the points are expression strings or integers, not booleans.
+    Each table is a JSON list, a class element a JSON integer and a color
+    the integer 0 or 1; gamma and the points are expression strings or
+    integers, not booleans.
     Two colors for one class, class pair or point pair are refused in
     either entry order.
     """
     doc = json.loads(text)
     gamma = _json_ordinal(doc["gamma"], "gamma")
     within = _json_table(
-        doc.get("within", []), lambda e: _json_class(e["class"]),
+        doc, "within", lambda e: _json_class(e["class"]),
         lambda k: f"within colors for {_as_class(k)}")
     cross = _json_table(
-        doc.get("cross", []),
+        doc, "cross",
         lambda e: (_json_class(e["a"]), _json_class(e["b"])),
         lambda k: "cross colors for "
                   f"{_class_key(_as_class(k[0]), _as_class(k[1]))}")
     overrides = _json_table(
-        doc.get("overrides", []),
+        doc, "overrides",
         lambda e: (_json_ordinal(e["a"], "point"),
                    _json_ordinal(e["b"], "point")),
         lambda k: "overrides for "
@@ -623,6 +595,8 @@ def certificate_to_json(cert: CopyCertificate) -> str:
 
 def certificate_from_json(text: str) -> CopyCertificate:
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise TypeError("the certificate is not a JSON object")
     tri = doc.get("triangle")
     return CopyCertificate(
         kind=doc["kind"],

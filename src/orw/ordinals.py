@@ -2,19 +2,17 @@
 
 An ordinal is kept in Cantor normal form as a tuple of (exponent, coefficient)
 terms, highest exponent first.  On top of the arithmetic this module provides
-the last-term reading cb_rank, the step order <* (b <* a when a = b + w^theta
-with theta > cb_rank(b)) with its parent and children, the component index
-cnf_index, the (index, level) node-class partition with exact class sizes,
-and the two class walks the deciders use: the members of a class above a
-bound, and an approach sequence toward a limit point.  Infinite sets are
-returned as BoundedEnumeration views: an exact membership predicate plus an
-increasing prefix enumerator.
+the last-term reading cb_rank, the component index cnf_index, the (index,
+level) node-class partition with exact class sizes, and what the deciders
+read of a class: `node_class`, an iterator over a class's members in
+increasing order (optionally only those above a bound), and `on_approach`,
+the membership test of an approach sequence toward a limit point.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Optional
+from itertools import chain, count
+from typing import Iterator, NamedTuple, Optional
 
 
 class OrdinalError(ValueError):
@@ -224,79 +222,6 @@ def parse(text: str) -> Ordinal:
     return total
 
 
-# -- bounded views of infinite sets ---------------------------------------
-
-
-class BoundedEnumeration:
-    """A set of ordinals seen through an exact predicate and finite prefixes.
-
-    enumerate(m) returns the first m members in increasing order (fewer if the
-    set is smaller); the generator is restarted on each call, so views are
-    reusable and immutable.
-    """
-
-    def __init__(self, contains: Callable[[Ordinal], bool],
-                 generator: Callable[[], Iterator[Ordinal]]):
-        self._contains = contains
-        self._generator = generator
-
-    def contains(self, x: Ordinal) -> bool:
-        return self._contains(x)
-
-    def __contains__(self, x: Ordinal) -> bool:
-        return self._contains(x)
-
-    def enumerate(self, m: int) -> list[Ordinal]:
-        return list(islice(self._generator(), m))
-
-    def __iter__(self) -> Iterator[Ordinal]:
-        return self._generator()
-
-    @staticmethod
-    def empty() -> "BoundedEnumeration":
-        return BoundedEnumeration(lambda x: False, lambda: iter(()))
-
-
-# -- the step relation and its tree ---------------------------------------
-
-
-def star_less(b: Ordinal, a: Ordinal) -> bool:
-    """True iff a = b + w^theta for some theta > cb_rank(b)."""
-    return a > b and any(b + Ordinal.omega_power(theta) == a for theta in
-                         range(b.cb_rank() + 1, a.terms[0][0] + 1))
-
-
-def star_parent(b: Ordinal) -> Ordinal:
-    """The unique immediate successor of b in the step order."""
-    return b + Ordinal.omega_power(b.cb_rank() + 1)
-
-
-def star_children(a: Ordinal) -> BoundedEnumeration:
-    """All b with star_parent(b) = a, in increasing order.
-
-    Nonempty only when cb_rank(a) = d >= 1: writing a = delta + w^d, the
-    children are delta + w^(d-1)*k for k >= 1, together with 0 when a = w.
-    """
-    d = a.cb_rank()
-    if d == 0:
-        return BoundedEnumeration.empty()
-    delta = a.decrement_last()
-    include_zero = a == OMEGA
-
-    def contains(x: Ordinal) -> bool:
-        return star_parent(x) == a
-
-    def gen() -> Iterator[Ordinal]:
-        if include_zero:
-            yield ZERO
-        k = 1
-        while True:
-            yield delta + Ordinal.omega_power(d - 1, k)
-            k += 1
-
-    return BoundedEnumeration(contains, gen)
-
-
 # -- components and node classes ------------------------------------------
 
 
@@ -425,94 +350,53 @@ def class_size(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
     return 1 + bonus
 
 
-def node_class(gamma: Ordinal, cid: NodeClassId) -> BoundedEnumeration:
-    """The members of a class, increasing; exact membership via classify."""
+def node_class(gamma: Ordinal, cid: NodeClassId,
+               above: Optional[Ordinal] = None) -> Iterator[Ordinal]:
+    """The members of a class in increasing order; with `above`, only those
+    strictly above it.
+
+    An invalid class is refused at the call.  A finite class's walk ends.
+    An infinite class, of level j below its component's exponent, is
+    walked along its first omega members start + w^j*k, k = 1, 2, ...:
+    start is the component's base, or, for a bound inside the component,
+    the bound's terms above w^j, with the bound's w^j blocks skipped.
+    """
     if not is_valid_class(gamma, cid):
         raise OrdinalError(f"invalid class {cid} for {gamma}")
     i, j = cid.index, cid.level
     base = partial_sum(gamma, i - 1)
     top_exp = _component_exp(gamma, i)
-
-    def contains(x: Ordinal) -> bool:
-        return x < gamma and classify(gamma, x) == cid
-
-    def gen() -> Iterator[Ordinal]:
-        if i == 1 and j == 0:
-            yield ZERO
-        if j == top_exp:
-            top = base + Ordinal.omega_power(top_exp)
-            if top < gamma:
-                yield top
-            return
-        k = 1
-        while True:
-            yield base + Ordinal.omega_power(j, k)
-            k += 1
-
-    return BoundedEnumeration(contains, gen)
+    head = [ZERO] if (i, j) == (1, 0) and above is None else []
+    if j == top_exp:
+        top = base + Ordinal.omega_power(top_exp)
+        if top < gamma and (above is None or above < top):
+            head.append(top)
+        return iter(head)
+    start, k = base, 1
+    if above is not None and above >= base:
+        if above >= base + Ordinal.omega_power(top_exp):
+            return iter(())
+        xi = above.left_difference(base)
+        start = base + Ordinal(tuple(t for t in xi.terms if t[0] > j))
+        k += next((co for e, co in xi.terms if e == j), 0)
+    return chain(head, (start + Ordinal.omega_power(j, m) for m in count(k)))
 
 
-def class_members_above(gamma: Ordinal, cid: NodeClassId,
-                        bound: Ordinal) -> BoundedEnumeration:
-    """Members of the class strictly above `bound`, in increasing order."""
-    full = node_class(gamma, cid)
-    i, j = cid.index, cid.level
-    base = partial_sum(gamma, i - 1)
-    top_exp = _component_exp(gamma, i)
+def on_approach(p: Ordinal, level: int, x: Ordinal) -> bool:
+    """Is x on the canonical level-`level` approach sequence to p?
 
-    def contains(x: Ordinal) -> bool:
-        return x > bound and full.contains(x)
-
-    if bound < base or (j == top_exp):
-        def gen():
-            for x in full._generator():
-                if x > bound:
-                    yield x
-        return BoundedEnumeration(contains, gen)
-    if bound >= base + Ordinal.omega_power(top_exp):
-        return BoundedEnumeration.empty()
-    # bound sits inside the component: round it up to the next w^j block
-    xi = bound.left_difference(base)
-    prefix = Ordinal(tuple(t for t in xi.terms if t[0] > j))
-    at_j = next((co for e, co in xi.terms if e == j), 0)
-
-    def gen():
-        k = at_j + 1
-        while True:
-            yield base + prefix + Ordinal.omega_power(j, k)
-            k += 1
-
-    return BoundedEnumeration(contains, gen)
-
-
-def class_members_toward(gamma: Ordinal, p: Ordinal,
-                         level: int) -> BoundedEnumeration:
-    """A level-`level` sequence in p's component, increasing with sup p.
-
-    Requires level < cb_rank(p) and p below gamma.  The view is one canonical
-    approach sequence (every tail of it still has sup p), not the whole class.
+    Writing p = zeta + w^c (c = cb_rank(p) > level), the sequence is
+    zeta + w^(c-1)*t, plus w^level when level < c-1, for t = 1, 2, ...:
+    increasing, inside p's component, with sup p, and every tail of
+    it has sup p too.
     """
     c = p.cb_rank()
-    if not (0 <= level < c):
+    if not 0 <= level < c:
         raise OrdinalError(f"no level-{level} approach to {p}")
-    if p >= gamma:
-        raise OrdinalError(f"{p} not below {gamma}")
     zeta = p.decrement_last()
-    bump = Ordinal.omega_power(level) if level < c - 1 else ZERO
-
-    def contains(x: Ordinal) -> bool:
-        if not zeta < x < p:
-            return False
-        rest = x.left_difference(zeta)
-        if level == c - 1:
-            return len(rest.terms) == 1 and rest.terms[0][0] == c - 1
-        return (len(rest.terms) == 2 and rest.terms[0][0] == c - 1
-                and rest.terms[1] == (level, 1))
-
-    def gen():
-        t = 1
-        while True:
-            yield zeta + Ordinal.omega_power(c - 1, t) + bump
-            t += 1
-
-    return BoundedEnumeration(contains, gen)
+    if not zeta < x < p:
+        return False
+    rest = x.left_difference(zeta).terms
+    if level == c - 1:
+        return len(rest) == 1 and rest[0][0] == c - 1
+    return len(rest) == 2 and rest[0][0] == c - 1 and rest[1] == (level, 1)

@@ -10,7 +10,7 @@ share no code with the solver they check.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Optional, Sequence
 
 from orw.ordinals import (
@@ -18,10 +18,8 @@ from orw.ordinals import (
     ZERO,
     NodeClassId,
     Ordinal,
-    class_members_above,
     class_size,
     node_class,
-    star_less,
     valid_classes,
 )
 
@@ -40,21 +38,6 @@ def _exp_subsets(max_exp: int):
     exps = list(range(max_exp, -1, -1))
     for size in range(len(exps) + 1):
         yield from combinations(exps, size)
-
-
-def immediate_step(b: Ordinal, a: Ordinal) -> bool:
-    """b is an immediate step-predecessor of a, via star_less only.
-
-    Any intermediate would be b + w^theta for some theta, so scanning those
-    finitely many candidates decides immediacy exactly.
-    """
-    if not star_less(b, a):
-        return False
-    for theta in range(b.cb_rank() + 1, a.terms[0][0] + 1):
-        mid = b + Ordinal.omega_power(theta)
-        if mid != a and star_less(mid, a):
-            return False
-    return True
 
 
 # -- components by coefficient-1 expansion ---------------------------------
@@ -135,9 +118,7 @@ def limit_candidates_all_gaps(c, explicit: list[Ordinal]) -> list[Ordinal]:
         if cid.level < 1 or class_size(c.gamma, cid) is not None:
             continue
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            view = (node_class(c.gamma, cid) if lo is None
-                    else class_members_above(c.gamma, cid, lo))
-            for x in view.enumerate(skip):
+            for x in list(islice(node_class(c.gamma, cid, lo), skip)):
                 if hi is not None and not x < hi:
                     break
                 if x not in touched and x not in out:

@@ -554,6 +554,16 @@ INEXACT_REFUSALS = [
                  _malformed("OrdinalError('point true is not an ordinal')"),
                  id="point-bool"),
 ]
+# A table that is not a JSON list is refused whole, named, never read as
+# empty or walked key by key.
+TABLE_REFUSALS = [
+    pytest.param({"gamma": "w*2", name: table},
+                 _malformed(f"OrdinalError('table {name} is not a list')"),
+                 id=f"{name}-{kind}")
+    for name in ("within", "cross", "overrides")
+    for kind, table in (("object", {}), ("string", ""), ("keyed", {"a": 1}),
+                        ("null", None))
+]
 
 
 class TestColoring:
@@ -627,8 +637,8 @@ class TestColoring:
         r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
 
-    @pytest.mark.parametrize("doc, stderr",
-                             DUPLICATE_REFUSALS + INEXACT_REFUSALS)
+    @pytest.mark.parametrize("doc, stderr", DUPLICATE_REFUSALS
+                             + INEXACT_REFUSALS + TABLE_REFUSALS)
     def test_contradictions_and_inexact_types_refused(self, runner, tmp_path,
                                                       doc, stderr):
         path = tmp_path / "bad.json"
@@ -649,6 +659,18 @@ class TestColoring:
                             "--json"])
         assert r.exit_code == 1 and r.stderr == ""
         assert json.loads(r.stdout)["blue_triple"] is not None
+
+    @pytest.mark.parametrize("doc", [[], "x", None, 3],
+                             ids=["array", "string", "null", "number"])
+    def test_certificate_not_an_object_refused(self, runner, files, tmp_path,
+                                               doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed certificate file: TypeError("
+                            "'the certificate is not a JSON object')\n")
 
     def test_inexact_certificate_class_refused(self, runner, files,
                                                tmp_path):

@@ -1,7 +1,8 @@
 import random
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -9,7 +10,6 @@ from oracles import (
     class_size_expanded,
     cnf_index_expanded,
     expansion,
-    immediate_step,
     is_valid_class_expanded,
     partial_sum_expanded,
     valid_classes_expanded,
@@ -23,25 +23,26 @@ from orw.ordinals import (
     OrdinalError,
     OrdinalParseError,
     class_count,
-    class_members_above,
-    class_members_toward,
     class_size,
     classify,
     cnf_index,
     component_count,
     is_valid_class,
     node_class,
+    on_approach,
     parse,
     partial_sum,
-    star_children,
-    star_less,
-    star_parent,
     valid_classes,
 )
 
 
 def o(text: str) -> Ordinal:
     return parse(text)
+
+
+def first(gamma: Ordinal, cid: NodeClassId, m: int) -> list[Ordinal]:
+    """The first m members of a class (fewer when it is smaller)."""
+    return list(islice(node_class(gamma, cid), m))
 
 
 @st.composite
@@ -169,63 +170,6 @@ def test_partial_sums():
     assert partial_sum(g, 8) == g
 
 
-# -- the step relation -----------------------------------------------------
-
-
-def test_star_less_examples():
-    assert star_less(OMEGA, o("w^2"))
-    assert not star_less(o("w*2"), o("w*3"))
-    assert not star_less(o("5"), o("w^2*2+w"))
-    assert star_less(ZERO, OMEGA)
-    assert star_less(ZERO, o("w^2"))
-    assert not star_less(ZERO, ONE)
-    assert not star_less(OMEGA, OMEGA)
-
-
-def test_star_parent_steps_one_level_up():
-    assert star_parent(ZERO) == OMEGA
-    assert star_parent(o("7")) == OMEGA
-    assert star_parent(o("w*3")) == o("w^2")
-    assert star_parent(o("w^2+w")) == o("w^2*2")
-
-
-def test_star_children_examples():
-    assert star_children(o("w^2")).enumerate(3) == [o("w"), o("w*2"), o("w*3")]
-    assert star_children(o("7")).enumerate(5) == []
-    assert star_children(ZERO).enumerate(5) == []
-    # children of w include 0
-    assert star_children(OMEGA).enumerate(4) == [ZERO, o("1"), o("2"), o("3")]
-    assert star_children(OMEGA).contains(ZERO)
-    assert not star_children(o("w^2")).contains(ZERO)
-    # within a larger ambient: children of w^2*(i-1)+w*(t+1) are w^2*(i-1)+w*t+m
-    assert star_children(o("w^2+w*2")).enumerate(3) == \
-        [o("w^2+w+1"), o("w^2+w+2"), o("w^2+w+3")]
-
-
-def test_star_children_against_bruteforce():
-    universe = all_ordinals(3, 12)
-    samples = [o("w"), o("w^2"), o("w^3"), o("w*4"), o("w^2+w"),
-               o("w^2*2"), o("w^2*3+w*2"), o("w^3+w^2"), o("w^2+w*3")]
-    for a in samples:
-        view = star_children(a)
-        for b in all_ordinals(3, 4):
-            assert view.contains(b) == immediate_step(b, a), (a, b)
-        got = view.enumerate(10)
-        assert got == sorted(got)
-        expected = [b for b in universe if immediate_step(b, a)][:10]
-        assert got == expected, a
-
-
-@given(ordinals(max_exp=3, max_coeff=4))
-@settings(max_examples=60)
-def test_children_are_immediate_and_one_rank_down(a):
-    d = a.cb_rank()
-    for b in star_children(a).enumerate(6):
-        assert star_less(b, a)
-        assert b.cb_rank() == d - 1 or (b.is_zero() and a == OMEGA)
-        assert star_parent(b) == a
-
-
 # -- node classes ----------------------------------------------------------
 
 
@@ -243,14 +187,14 @@ def test_class_membership_and_sizes():
     g = o("w^2*3+w*3+2")
     # infinite class
     assert class_size(g, NodeClassId(1, 0)) is None
-    assert node_class(g, NodeClassId(1, 0)).enumerate(3) == [ZERO, o("1"), o("2")]
+    assert first(g, NodeClassId(1, 0), 3) == [ZERO, o("1"), o("2")]
     assert class_size(g, NodeClassId(2, 1)) is None
-    assert node_class(g, NodeClassId(2, 1)).enumerate(2) == [o("w^2+w"), o("w^2+w*2")]
+    assert first(g, NodeClassId(2, 1), 2) == [o("w^2+w"), o("w^2+w*2")]
     # singleton classes at the component exponent
     assert class_size(g, NodeClassId(1, 2)) == 1
-    assert node_class(g, NodeClassId(1, 2)).enumerate(2) == [o("w^2")]
+    assert first(g, NodeClassId(1, 2), 2) == [o("w^2")]
     assert class_size(g, NodeClassId(4, 1)) == 1
-    assert node_class(g, NodeClassId(4, 1)).enumerate(2) == [o("w^2*3+w")]
+    assert first(g, NodeClassId(4, 1), 2) == [o("w^2*3+w")]
     # top class is empty, hence invalid
     assert not is_valid_class(g, NodeClassId(8, 0))
     with pytest.raises(OrdinalError):
@@ -265,24 +209,24 @@ def test_named_partition_display():
     g = o(f"w^2*{n}+w*{K}+1")
     cid = NodeClassId(n + K, 1)
     assert class_size(g, cid) == 1
-    assert node_class(g, cid).enumerate(2) == [o(f"w^2*{n}+w*{K}")]
+    assert first(g, cid, 2) == [o(f"w^2*{n}+w*{K}")]
     assert not is_valid_class(g, NodeClassId(n + K + 1, 0))
 
 
 def test_class_of_pure_power():
     g = o("w^2")
     assert class_size(g, NodeClassId(1, 1)) is None
-    assert node_class(g, NodeClassId(1, 1)).enumerate(3) == [o("w"), o("w*2"), o("w*3")]
+    assert first(g, NodeClassId(1, 1), 3) == [o("w"), o("w*2"), o("w*3")]
     assert not is_valid_class(g, NodeClassId(1, 2))
 
 
 def test_degenerate_gammas():
     assert valid_classes(ONE) == [NodeClassId(1, 0)]
     assert class_size(ONE, NodeClassId(1, 0)) == 1
-    assert node_class(ONE, NodeClassId(1, 0)).enumerate(2) == [ZERO]
+    assert first(ONE, NodeClassId(1, 0), 2) == [ZERO]
     g = o("3")
     assert class_size(g, NodeClassId(1, 0)) == 2
-    assert node_class(g, NodeClassId(1, 0)).enumerate(3) == [ZERO, ONE]
+    assert first(g, NodeClassId(1, 0), 3) == [ZERO, ONE]
     assert class_size(g, NodeClassId(2, 0)) == 1
     assert not is_valid_class(g, NodeClassId(3, 0))
 
@@ -293,10 +237,6 @@ def test_partition_property_on_samples():
     for a in sample:
         cid = classify(g, a)
         assert is_valid_class(g, cid)
-        assert node_class(g, cid).contains(a)
-        for other in valid_classes(g):
-            if other != cid:
-                assert not node_class(g, other).contains(a)
 
 
 def test_class_count_matches_valid_classes():
@@ -357,18 +297,68 @@ def test_closed_forms_match_the_expansion():
     assert checked > 5_000
 
 
-# -- bounded enumeration plumbing -----------------------------------------
+# -- class walks --------------------------------------------------------
 
 
-def test_enumeration_prefix_stability():
+WALK_GAMMAS = ["w^2*3+w*3+2", "w^3*2+w^2+w*2+3", "w^2*2", "w^3+1", "w*5+2", "7"]
+
+
+def test_walk_above_a_predecessor_starts_at_the_point():
+    # a class walk above delta, where a = delta + w^cb_rank(a), starts at a
+    # itself and goes on inside a's class, increasing
+    cases = 0
+    for text in WALK_GAMMAS:
+        g = o(text)
+        for a in all_ordinals(3, 5):
+            if a.is_zero() or not a < g:
+                continue
+            cid = classify(g, a)
+            walk = list(islice(node_class(g, cid, a.decrement_last()), 3))
+            assert walk[0] == a, (g, a)
+            assert walk == sorted(set(walk)), (g, a)
+            assert all(classify(g, x) == cid for x in walk), (g, a)
+            cases += 1
+    assert cases == 932
+
+
+def test_walk_ends_and_refuses_at_the_call():
     g = o("w^2*2")
-    views = [star_children(g), node_class(g, NodeClassId(1, 1)),
-             node_class(g, NodeClassId(2, 0)),
-             class_members_above(g, NodeClassId(1, 0), o("w*3+4")),
-             class_members_toward(g, o("w^2+w*2"), 0)]
-    for v in views:
-        a = v.enumerate(5)
-        b = v.enumerate(8)
-        assert b[:5] == a
-        assert a == sorted(a)
-        assert all(v.contains(x) for x in b)
+    assert list(node_class(g, NodeClassId(1, 2))) == [o("w^2")]
+    assert list(node_class(g, NodeClassId(1, 2), o("w^2"))) == []
+    # a bound at or past the component's top leaves nothing above it
+    assert list(node_class(g, NodeClassId(1, 1), o("w^2"))) == []
+    assert list(node_class(o("3"), NodeClassId(1, 0))) == [ZERO, ONE]
+    assert list(node_class(o("3"), NodeClassId(1, 0), ZERO)) == [ONE]
+    for above in (None, ZERO):
+        with pytest.raises(OrdinalError):
+            node_class(g, NodeClassId(2, 3), above)
+
+
+APPROACHES = [("w", 0), ("w*3", 0), ("w^2", 0), ("w^2", 1), ("w^2*2", 0),
+              ("w^2*2", 1), ("w^3", 0), ("w^3", 1), ("w^3", 2),
+              ("w^3+w^2", 1), ("w^3+w^2*2+w", 0)]
+
+
+@pytest.mark.parametrize("p, level", APPROACHES)
+def test_approach_predicate_is_exact(p, level):
+    g, p = o("w^3*2"), o(p)
+    c = p.cb_rank()
+    zeta = p.decrement_last()
+    bump = Ordinal.omega_power(level) if level < c - 1 else ZERO
+    seq = [zeta + Ordinal.omega_power(c - 1, t) + bump for t in range(1, 9)]
+    assert all(on_approach(p, level, x) for x in seq)
+    tail = NodeClassId(classify(g, p).index, level)
+    assert all(classify(g, x) == tail for x in seq)
+    # every other point of the universe is refused: the rest of the tail
+    # class, zeta, p itself and everything outside (zeta, p)
+    for x in all_ordinals(3, 5):
+        if x not in seq:
+            assert not on_approach(p, level, x), (p, level, x)
+    off = []
+    if level < c - 1:  # tail-class points just off the sequence
+        off = [seq[0] + Ordinal.omega_power(level),
+               zeta + Ordinal.omega_power(level)]
+        assert all(classify(g, x) == tail for x in off)
+    assert not any(on_approach(p, level, x) for x in off + [zeta, p, p + ONE])
+    with pytest.raises(OrdinalError):
+        on_approach(p, c, p)
