@@ -541,6 +541,8 @@ def _json_table(doc: dict, name: str, key_of, names) -> dict:
         raise OrdinalError(f"table {name} is not a list")
     table = {}
     for e in entries:
+        if type(e) is not dict:
+            raise OrdinalError(f"an entry of table {name} is not an object")
         key, color = key_of(e), e["color"]
         if type(color) is not int and not _build_refuses(int, color):
             raise OrdinalError(f"color {json.dumps(color)} is not 0 or 1")
@@ -559,6 +561,8 @@ def coloring_from_json(text: str) -> QuotientColoring:
     either entry order.
     """
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise TypeError("the coloring is not a JSON object")
     gamma = _json_ordinal(doc["gamma"], "gamma")
     within = _json_table(
         doc, "within", lambda e: _json_class(e["class"]),
@@ -597,14 +601,20 @@ def certificate_from_json(text: str) -> CopyCertificate:
     doc = json.loads(text)
     if type(doc) is not dict:
         raise TypeError("the certificate is not a JSON object")
-    tri = doc.get("triangle")
+
+    def points(name: str) -> tuple[Ordinal, ...]:
+        # a JSON list of points; a string would be read a character a point
+        xs = doc.get(name, [])
+        if type(xs) is not list:
+            raise TypeError(f"certificate field {name} is not a list")
+        return tuple(parse(x) for x in xs)
     return CopyCertificate(
         kind=doc["kind"],
         tail_class=(None if doc.get("tail_class") is None
                     else _as_class(_json_class(doc["tail_class"]))),
         limit_point=(None if doc.get("limit_point") is None
                      else parse(doc["limit_point"])),
-        excluded=tuple(parse(x) for x in doc.get("excluded", [])),
-        top_points=tuple(parse(x) for x in doc.get("top_points", [])),
-        triangle=None if tri is None else tuple(parse(x) for x in tri),
+        excluded=points("excluded"),
+        top_points=points("top_points"),
+        triangle=None if doc.get("triangle") is None else points("triangle"),
     )

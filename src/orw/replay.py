@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -183,14 +184,34 @@ class ClauseSystem:
         return "\n".join(lines) + "\n"
 
     def sidecar_json(self) -> str:
-        return json.dumps({
-            "n": self.space.n,
-            "k": self.space.k,
-            "variables": {str(i): self.space.var_name(i)
-                          for i in range(1, self.space.num_vars + 1)},
-            "clauses": [{"schema": t.schema, "redundant": t.redundant,
-                         "params": list(t.params)} for t in self.tags],
-        }, indent=2)
+        """The variable names and clause tags, written directly in the bytes
+        json.dumps(doc, indent=2) gives for {"n", "k", "variables": {index:
+        name}, "clauses": [{"schema", "redundant", "params"}]}.  A param is
+        an int, a str or a NodeClassId of two ints, else TypeError."""
+        enc = encode_basestring_ascii
+        flat = list(chain.from_iterable(t.params for t in self.tags))
+        # types first: 1, 1.0 and True are one key of the memo below
+        if not (set(map(type, flat)) <= {int, str, NodeClassId}
+                and set(map(type, chain.from_iterable(
+                    filter(NodeClassId.__instancecheck__, flat)))) <= {int}):
+            raise TypeError("a clause param is not an int, a str or a "
+                            "NodeClassId of two ints")
+        text = {p: str(p) if type(p) is int else enc(p) if type(p) is str
+                else f"[\n          {p.index},\n          {p.level}\n        ]"
+                for p in set(flat)}
+        sep = ",\n        "
+        clauses = ",\n".join(
+            f'    {{\n      "schema": {enc(t.schema)},\n      "redundant": '
+            f'{"true" if t.redundant else "false"},\n      "params": '
+            + (f"[\n        {sep.join(map(text.__getitem__, t.params))}"
+               "\n      ]" if t.params else "[]") + "\n    }"
+            for t in self.tags)
+        names = self.space._names
+        variables = ",\n".join(f'    "{i}": {enc(names[i])}'
+                                for i in range(1, len(names)))
+        return (f'{{\n  "n": {self.space.n},\n  "k": {self.space.k},\n'
+                f'  "variables": {{\n{variables}\n  }},\n  "clauses": '
+                + (f"[\n{clauses}\n  ]" if clauses else "[]") + "\n}")
 
 
 def _check_request(n: int, k: int, drop: tuple[str, ...]) -> None:
@@ -251,157 +272,153 @@ def instantiate_clauses(n: int, k: int,
             f"the catalogue at n={n} K={k} has {size} clauses, more than "
             f"the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
+    # Classes are numbered by position: component i's lower level first,
+    # its top last.  var[pa][pb] is the pair's color variable, None within
+    # a component; hat[i][lvl] is component i's top-pair variable.
+    pos = {c: p for p, c in enumerate(space.classes)}
+    base = [None] + [pos[NodeClassId(i, 0)] for i in range(1, n + k + 1)]
+    lim = [None] + [pos[space.limit_class(i)] for i in range(1, n + k + 1)]
+    var: list[list] = [[None] * len(pos) for _ in pos]
+    for (a, b), v in space._tilde.items():
+        var[pos[a]][pos[b]] = var[pos[b]][pos[a]] = v
+    hat = [None] + [(space.hat_var(i, 0), space.hat_var(i, 1))
+                    for i in range(1, n + 1)]
     clauses: list[tuple[int, ...]] = []
     tags: list[ClauseTag] = []
 
-    def t(a: NodeClassId, b: NodeClassId) -> int:
-        return space.tilde_var(a, b)
-
-    def h(i: int, lvl: int) -> int:
-        return space.hat_var(i, lvl)
-
-    L = space.limit_class
-
-    def add(schema: str, params: tuple, lits: list[int]) -> None:
+    def add(schema: str, items) -> None:
+        # a dropped schema's (params, literals) generator is never run
         if schema in drop:
             return
-        assert lits and len(set(lits)) == len(lits)
-        assert not any(-x in lits for x in lits)
-        clauses.append(tuple(lits))
-        tags.append(ClauseTag(schema, schema in REDUNDANT_SCHEMAS, params))
+        redundant = schema in REDUNDANT_SCHEMAS
+        for params, lits in items:
+            # a repeated variable is a repeated literal or a complementary
+            # pair; abs refuses a same-component None
+            if not lits or len(set(map(abs, lits))) != len(lits):
+                raise AssertionError(f"{schema} clause {params}: {lits}")
+            clauses.append(lits)
+            tags.append(ClauseTag(schema, redundant, params))
 
-    def sources(k0: int):
-        """The (i,j) ranges shared by several schemas: components above k0."""
-        for i in range(k0 + 1, n + 1):
-            for j in (0, 1):
-                yield NodeClassId(i, j)
-        for i in range(n + 1, n + k + 1):
-            yield NodeClassId(i, 0)
+    def sources(k0: int) -> list[tuple[int, int, int]]:
+        # (index, level, position) of the lower levels above component k0
+        return ([(i, j, base[i] + j) for i in range(k0 + 1, n + 1)
+                 for j in (0, 1)]
+                + [(i, 0, base[i]) for i in range(n + 1, n + k + 1)])
 
     # C1: nothing is blue to both lower levels of a squared component
-    for k0 in range(1, n + 1):
-        for s in space.classes:
-            if s.index != k0:
-                add("C1", (s.index, s.level, k0),
-                    [-t(s, NodeClassId(k0, 0)), -t(s, NodeClassId(k0, 1))])
+    add("C1", (((s.index, s.level, k0),
+                (-var[p][base[k0]], -var[p][base[k0] + 1]))
+               for k0 in range(1, n + 1)
+               for p, s in enumerate(space.classes) if s.index != k0))
 
     # C2: no target is blue to both lower levels of another squared component
-    for i in range(1, n + 1):
-        for k0 in range(1, n + 1):
-            if i == k0:
-                continue
-            for lvl in (0, 1, 2):
-                tgt = NodeClassId(k0, lvl)
-                add("C2", (i, k0, lvl),
-                    [-t(NodeClassId(i, 0), tgt), -t(NodeClassId(i, 1), tgt)])
+    add("C2", (((i, k0, lvl), (-var[base[i]][base[k0] + lvl],
+                               -var[base[i] + 1][base[k0] + lvl]))
+               for i in range(1, n + 1) for k0 in range(1, n + 1) if i != k0
+               for lvl in (0, 1, 2)))
 
     # C3: a component top is blue to at most one of its levels
-    for i in range(1, n + 1):
-        add("C3", (i,), [-h(i, 0), -h(i, 1)])
+    add("C3", (((i,), (-hat[i][0], -hat[i][1])) for i in range(1, n + 1)))
 
     # C4 (redundant): two sources blue to a common target are not blue
-    for k0 in range(1, n + 1):
-        for lvl in (0, 1, 2):
-            tgt = NodeClassId(k0, lvl)
-            for i, m in combinations(range(n + 1, n + k + 1), 2):
-                a, b = NodeClassId(i, 0), NodeClassId(m, 0)
-                add("C4", (i, m, k0, lvl),
-                    [-t(b, tgt), -t(a, tgt), -t(b, a)])
+    add("C4", (((i, m, k0, lvl), (-var[base[m]][base[k0] + lvl],
+                                  -var[base[i]][base[k0] + lvl],
+                                  -var[base[m]][base[i]]))
+               for k0 in range(1, n + 1) for lvl in (0, 1, 2)
+               for i, m in combinations(range(n + 1, n + k + 1), 2)))
 
     # C5: a red top-level forces blue toward the level or the top
-    for k0 in range(1, n + 1):
-        for lvl in (0, 1):
-            for s in sources(k0):
-                add("C5", (s.index, s.level, k0, lvl),
-                    [h(k0, lvl), t(s, NodeClassId(k0, lvl)), t(s, L(k0))])
+    add("C5", (((i, j, k0, lvl),
+                (hat[k0][lvl], var[p][base[k0] + lvl], var[p][lim[k0]]))
+               for k0 in range(1, n + 1) for lvl in (0, 1)
+               for i, j, p in sources(k0)))
 
     # C6: every source is blue to some level of a lower squared component
-    for k0 in range(1, n):
-        for s in sources(k0):
-            add("C6", (s.index, s.level, k0),
-                [t(s, NodeClassId(k0, 0)), t(s, NodeClassId(k0, 1)),
-                 t(s, L(k0))])
+    add("C6", (((i, j, k0),
+                (var[p][base[k0]], var[p][base[k0] + 1], var[p][lim[k0]]))
+               for k0 in range(1, n) for i, j, p in sources(k0)))
 
     # C7: each lower component top is blue to at least one of its levels
-    for i in range(1, n):
-        add("C7", (i,), [h(i, 0), h(i, 1)])
+    add("C7", (((i,), (hat[i][0], hat[i][1])) for i in range(1, n)))
 
     # C8: a fully red spread over n-1 higher tops forces a blue top pair
-    for k0 in range(1, n + 1):
-        for lvl in (0, 1):
-            for subset in combinations(range(k0 + 1, n + k + 1), n - 1):
-                lits = [t(L(b), L(a)) for a, b in combinations(subset, 2)]
-                lits += [t(L(i), NodeClassId(k0, lvl)) for i in subset]
-                lits += [t(L(i), L(k0)) for i in subset]
-                lits.append(h(k0, lvl))
-                add("C8", (k0, lvl) + subset, lits)
+    def c8():
+        for k0 in range(1, n + 1):
+            for lvl in (0, 1):
+                low, top = base[k0] + lvl, lim[k0]
+                for subset in combinations(range(k0 + 1, n + k + 1), n - 1):
+                    tops = [lim[i] for i in subset]
+                    lits = [var[b][a] for a, b in combinations(tops, 2)]
+                    lits += [var[t][low] for t in tops]
+                    lits += [var[t][top] for t in tops]
+                    lits.append(hat[k0][lvl])
+                    yield (k0, lvl) + subset, tuple(lits)
+    add("C8", c8())
 
     # C9: nothing above is blue to the level the top is blue to
-    for k0 in range(1, n):
-        for lvl in (0, 1):
-            for s in sources(k0):
-                add("C9", (s.index, s.level, k0, lvl),
-                    [-h(k0, lvl), -t(s, NodeClassId(k0, lvl))])
+    add("C9", (((i, j, k0, lvl), (-hat[k0][lvl], -var[p][base[k0] + lvl]))
+               for k0 in range(1, n) for lvl in (0, 1)
+               for i, j, p in sources(k0)))
 
     # C10 (redundant): the two guarded corollaries of C5/C6/C9
-    for k0 in range(1, n):
-        for lvl in (0, 1):
-            g = h(k0, lvl)  # guard: clause active when (k0,lvl) is red-named
-            for i in range(n + 1, n + k + 1):
-                s = NodeClassId(i, 0)
-                add("C10", ("pair", i, k0, lvl),
-                    [g, t(s, NodeClassId(k0, lvl)), t(s, L(k0))])
-            for i in range(k0 + 1, n + 1):
-                a = t(NodeClassId(i, 1), L(k0))
-                b = t(NodeClassId(i, 0), NodeClassId(k0, lvl))
-                c = t(NodeClassId(i, 1), NodeClassId(k0, lvl))
-                d = t(NodeClassId(i, 0), L(k0))
-                for tag, (p, q) in (("fwd", (a, b)), ("bwd", (b, a))):
-                    add("C10", ("iff-" + tag, i, k0, lvl), [g, -p, q])
-                for name, x in (("c", c), ("d", d)):
-                    add("C10", ("excl-" + name, i, k0, lvl), [g, -a, -x])
-                    add("C10", ("cover-" + name, i, k0, lvl), [g, a, x])
+    def c10():
+        for k0 in range(1, n):
+            for lvl in (0, 1):
+                g = hat[k0][lvl]  # active when (k0,lvl) is red-named
+                low, top = base[k0] + lvl, lim[k0]
+                for i in range(n + 1, n + k + 1):
+                    yield (("pair", i, k0, lvl),
+                           (g, var[base[i]][low], var[base[i]][top]))
+                for i in range(k0 + 1, n + 1):
+                    r0, r1 = var[base[i]], var[base[i] + 1]
+                    a, b = r1[top], r0[low]
+                    yield ("iff-fwd", i, k0, lvl), (g, -a, b)
+                    yield ("iff-bwd", i, k0, lvl), (g, -b, a)
+                    for name, x in (("c", r1[low]), ("d", r0[top])):
+                        yield ("excl-" + name, i, k0, lvl), (g, -a, -x)
+                        yield ("cover-" + name, i, k0, lvl), (g, a, x)
+    add("C10", c10())
 
     # C11: all pendant bases blue to a low target bar its pendant tops
-    for i in range(1, n):
-        for j in (0, 1, 2):
-            tgt = NodeClassId(i, j)
-            base = [-t(NodeClassId(m, 0), tgt)
-                    for m in range(n + 1, n + k + 1)]
-            for m2 in range(n + 1, n + k):
-                add("C11", (i, j, m2), base + [-t(L(m2), tgt)])
+    def c11():
+        for i in range(1, n):
+            for j in (0, 1, 2):
+                tgt = base[i] + j
+                bases = tuple(-var[base[m]][tgt]
+                              for m in range(n + 1, n + k + 1))
+                for m2 in range(n + 1, n + k):
+                    yield (i, j, m2), bases + (-var[lim[m2]][tgt],)
+    add("C11", c11())
 
     # C12: no three classes in distinct components are pairwise blue,
     # and no top/level pair of one component is jointly blue to a third
-    for a, b, c in combinations(space.classes, 3):
-        if a.index != b.index and a.index != c.index and b.index != c.index:
-            add("C12", (a, b, c), [-t(a, b), -t(a, c), -t(b, c)])
-    for i in range(1, n + 1):
-        for j in (0, 1):
-            for x in space.classes:
-                if x.index != i:
-                    add("C12", ("mixed", i, j, x),
-                        [-t(NodeClassId(i, 2), x), -t(NodeClassId(i, j), x),
-                         -h(i, j)])
+    add("C12", (((a, b, c), (-var[pa][pb], -var[pa][pc], -var[pb][pc]))
+                for (pa, a), (pb, b), (pc, c)
+                in combinations(enumerate(space.classes), 3)
+                if a.index != b.index != c.index != a.index))
+    add("C12", ((("mixed", i, j, x),
+                 (-var[lim[i]][p], -var[base[i] + j][p], -hat[i][j]))
+                for i in range(1, n + 1) for j in (0, 1)
+                for p, x in enumerate(space.classes) if x.index != i))
 
     # C13: no blue triangle among the component tops
-    for a, b, c in combinations(range(1, n + k + 1), 3):
-        add("C13", (a, b, c),
-            [-t(L(b), L(a)), -t(L(c), L(a)), -t(L(c), L(b))])
+    add("C13", (((a, b, c), (-var[lim[b]][lim[a]], -var[lim[c]][lim[a]],
+                             -var[lim[c]][lim[b]]))
+                for a, b, c in combinations(range(1, n + k + 1), 3)))
 
     # C14: a top blue toward one name of a lower component excludes
     # pendant tops from the swapped name
-    for k0 in range(1, n):
-        for i in range(k0 + 1, n + 1):
-            for lvl in (0, 1):
-                g = -h(k0, 1 - lvl)  # active when (k0,lvl) is the red name
-                for m in range(n + 1, n + k):
-                    add("C14", ("a", k0, i, lvl, m),
-                        [g, -t(L(i), NodeClassId(k0, lvl)),
-                         -t(L(m), L(k0))])
-                    add("C14", ("b", k0, i, lvl, m),
-                        [g, -t(L(i), L(k0)),
-                         -t(L(m), NodeClassId(k0, lvl))])
+    def c14():
+        for k0 in range(1, n):
+            for i in range(k0 + 1, n + 1):
+                for lvl in (0, 1):
+                    g = -hat[k0][1 - lvl]  # active when (k0,lvl) is red
+                    low, top, ri = base[k0] + lvl, lim[k0], var[lim[i]]
+                    for m in range(n + 1, n + k):
+                        rm = var[lim[m]]
+                        yield ("a", k0, i, lvl, m), (g, -ri[low], -rm[top])
+                        yield ("b", k0, i, lvl, m), (g, -ri[top], -rm[low])
+    add("C14", c14())
 
     return ClauseSystem(space, tuple(clauses), tuple(tags))
 

@@ -565,6 +565,21 @@ TABLE_REFUSALS = [
                         ("null", None))
 ]
 
+# A document or table entry that is not a JSON object is refused by name.
+NOT_AN_OBJECT_REFUSALS = [
+    pytest.param(doc, _malformed(
+        "TypeError('the coloring is not a JSON object')"), id=f"doc-{kind}")
+    for kind, doc in (("array", []), ("string", "x"), ("null", None),
+                      ("number", 3))
+] + [
+    pytest.param({"gamma": "w+1", name: [entry]}, _malformed(
+        f"OrdinalError('an entry of table {name} is not an object')"),
+        id=f"{name}-{kind}")
+    for name in ("within", "cross", "overrides")
+    for kind, entry in (("number", 5), ("array", []), ("string", "x"),
+                        ("null", None))
+]
+
 
 class TestColoring:
     @pytest.fixture
@@ -637,6 +652,14 @@ class TestColoring:
         r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
 
+    @pytest.mark.parametrize("doc, stderr", NOT_AN_OBJECT_REFUSALS)
+    def test_non_object_refusals_are_pinned(self, runner, tmp_path, doc,
+                                            stderr):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
+
     @pytest.mark.parametrize("doc, stderr", DUPLICATE_REFUSALS
                              + INEXACT_REFUSALS + TABLE_REFUSALS)
     def test_contradictions_and_inexact_types_refused(self, runner, tmp_path,
@@ -671,6 +694,24 @@ class TestColoring:
         assert (r.exit_code, r.stdout) == (2, "")
         assert r.stderr == ("error: malformed certificate file: TypeError("
                             "'the certificate is not a JSON object')\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("excluded", "12"), ("top_points", "1"), ("triangle", "123"),
+        ("excluded", {"0": "1"}), ("top_points", 1), ("triangle", True)],
+        ids=["excluded-string", "top_points-string", "triangle-string",
+             "excluded-object", "top_points-number", "triangle-bool"])
+    def test_certificate_points_not_a_list_refused(self, runner, files,
+                                                   tmp_path, field, value):
+        # a string was read one character a point: "12" as the points 1, 2
+        cert = json.loads(Path(files["cert"]).read_text())
+        cert[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed certificate file: TypeError("
+                            f"'certificate field {field} is not a list')\n")
 
     def test_inexact_certificate_class_refused(self, runner, files,
                                                tmp_path):

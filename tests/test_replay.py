@@ -17,6 +17,8 @@ from orw.ramsey import builtin_record, relabel_red_prefix
 from orw.replay import (
     MAX_CLAUSES,
     MAX_VARIABLES,
+    ClauseSystem,
+    ClauseTag,
     VariableSpace,
     assignment_from_coloring,
     catalogue_size,
@@ -531,6 +533,17 @@ class TestInstantiation:
             assert len(by["C2"]) + len(by["C13"]) == 596
             assert len(sys_.select(include_redundant=False)) == 10608
 
+    def test_catalogue_is_pinned(self):
+        # every clause and tag, in order, over a grid of sizes and drops
+        digest = hashlib.sha256()
+        for n, k in ([(n, k) for n in (3, 4) for k in range(2, 9)]
+                     + [(5, 2), (5, 3)]):
+            for drop in ((), ("C8",), ("C4", "C10")):
+                s = instantiate_clauses(n, k, drop=drop)
+                digest.update(repr((n, k, drop, s.clauses, s.tags)).encode())
+        assert digest.hexdigest() == ("ca0807cc6d9468750eb561634be67a3a"
+                                      "0cab6586a93100ec528115eb0531d19d")
+
     def test_select_strips_redundant(self):
         full = instantiate_clauses(3, 5)
         core = full.select(include_redundant=False)
@@ -658,6 +671,19 @@ class TestRedundancy:
         assert not rup_implied(cls, (-2,))
 
 
+def sidecar_oracle(sys_):
+    """The sidecar document, written by the stdlib encoder."""
+    space = sys_.space
+    return json.dumps({
+        "n": space.n,
+        "k": space.k,
+        "variables": {str(i): space.var_name(i)
+                      for i in range(1, space.num_vars + 1)},
+        "clauses": [{"schema": t.schema, "redundant": t.redundant,
+                     "params": list(t.params)} for t in sys_.tags],
+    }, indent=2)
+
+
 class TestDimacs:
     def test_header_and_shape(self):
         sys_ = instantiate_clauses(3, 7)
@@ -675,6 +701,47 @@ class TestDimacs:
         assert doc["variables"]["1"] == sys_.space.var_name(1)
         assert {c["schema"] for c in doc["clauses"]} == set(
             sys_.schema_counts())
+
+    @pytest.mark.parametrize("n,k,cnf,sidecar", [
+        (3, 5, "ac40df09e9f7e8b17ebf386d5fff5108d571119f1e4ed712ffc5a85911300f8d",
+         "8a51282ed48e9d93ae50f55e1684be731ecc505b3b32d218f3d9cbbcc8f5b169"),
+        (3, 7, "c522a5c118836a2921ce3cc9858289ec86d2185cbe0a4056798dec05c5aa194a",
+         "7be1481023a6154e2c46d7ec614bc31351328fae0c4c63d1173c0fcaf8f03ad3"),
+        (4, 12, "076548b7f734e20bdeb0922d98dbe62dee22bf0b2f3e847e8a37c6d989d47c8c",
+         "95d729e4db3e38cca89bd16e2c830a00f902d38605232580184d1e0416e96cac"),
+    ])
+    def test_export_bytes_are_pinned(self, n, k, cnf, sidecar):
+        sys_ = instantiate_clauses(n, k)
+        assert hashlib.sha256(sys_.to_dimacs().encode()).hexdigest() == cnf
+        assert hashlib.sha256(
+            sys_.sidecar_json().encode()).hexdigest() == sidecar
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 4), (4, 7)])
+    @pytest.mark.parametrize("drop", [(), ("C8", "C12")])
+    def test_sidecar_matches_json_dumps(self, n, k, drop):
+        sys_ = instantiate_clauses(n, k, drop=drop)
+        assert sys_.sidecar_json() == sidecar_oracle(sys_)
+
+    def test_sidecar_of_odd_tags_matches_json_dumps(self):
+        space = VariableSpace(3, 2)
+        tags = (ClauseTag("C1", False, ()),
+                ClauseTag('q"\\é', True, ("\n\u00e9", -3, 10**20,
+                                          NodeClassId(4, 1))))
+        for sys_ in (ClauseSystem(space, ((1,), (-1,)), tags),
+                     ClauseSystem(space, (), ())):
+            assert sys_.sidecar_json() == sidecar_oracle(sys_)
+
+    @pytest.mark.parametrize("param", [1.0, True, None, (1, 0),
+                                       NodeClassId(1.0, 0)],
+                             ids=["float", "bool", "null", "tuple",
+                                  "class-of-float"])
+    def test_sidecar_refuses_other_param_types(self, param):
+        # 1.0 and True equal the int 1: neither may reuse its text
+        space = VariableSpace(3, 2)
+        tags = (ClauseTag("C1", False, (1, NodeClassId(1, 0))),
+                ClauseTag("C1", False, (param,)))
+        with pytest.raises(TypeError):
+            ClauseSystem(space, ((1,), (2,)), tags).sidecar_json()
 
     def test_export_round_trips_through_solver(self):
         sys_ = instantiate_clauses(3, 5).select(include_redundant=False)
