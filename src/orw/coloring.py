@@ -157,10 +157,6 @@ class QuotientColoring:
                 raise OrdinalError(f"color {col} is not 0 or 1")
         return cls(g, w, x, ov)
 
-    @classmethod
-    def uniform(cls, gamma, color: Color) -> "QuotientColoring":
-        return cls.build(gamma, default=color)
-
     def touched(self) -> frozenset[Ordinal]:
         """Points that appear in at least one override pair."""
         pts = set()
@@ -523,7 +519,9 @@ def _json_class(v) -> tuple:
 
 
 def _json_ordinal(x, what: str):
-    if type(x) is bool:  # _as_ordinal takes a bool for an int
+    """x itself if it is a JSON string or integer, not a boolean (which
+    _as_ordinal would take for an int), a float or any other value."""
+    if type(x) not in (str, int):
         raise OrdinalError(f"{what} {json.dumps(x)} is not an ordinal")
     return x
 
@@ -556,7 +554,7 @@ def coloring_from_json(text: str) -> QuotientColoring:
 
     Each table is a JSON list, a class element a JSON integer and a color
     the integer 0 or 1; gamma and the points are expression strings or
-    integers, not booleans.
+    integers, not booleans, floats or any other value.
     Two colors for one class, class pair or point pair are refused in
     either entry order.
     """
@@ -602,18 +600,21 @@ def certificate_from_json(text: str) -> CopyCertificate:
     if type(doc) is not dict:
         raise TypeError("the certificate is not a JSON object")
 
+    def point(x) -> Ordinal:
+        return _as_ordinal(_json_ordinal(x, "point"))
+
     def points(name: str) -> tuple[Ordinal, ...]:
         # a JSON list of points; a string would be read a character a point
         xs = doc.get(name, [])
         if type(xs) is not list:
             raise TypeError(f"certificate field {name} is not a list")
-        return tuple(parse(x) for x in xs)
+        return tuple(map(point, xs))
     return CopyCertificate(
         kind=doc["kind"],
         tail_class=(None if doc.get("tail_class") is None
                     else _as_class(_json_class(doc["tail_class"]))),
         limit_point=(None if doc.get("limit_point") is None
-                     else parse(doc["limit_point"])),
+                     else point(doc["limit_point"])),
         excluded=points("excluded"),
         top_points=points("top_points"),
         triangle=None if doc.get("triangle") is None else points("triangle"),

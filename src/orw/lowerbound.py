@@ -67,12 +67,6 @@ class VertexClassSpec:
     def k(self) -> int:
         return self.ramsey.value - self.n
 
-    def vertex_of(self, cid: NodeClassId) -> str:
-        for name, classes in self.vertices.items():
-            if cid in classes:
-                return name
-        raise OrdinalError(f"class {cid} belongs to no vertex")
-
 
 def build_partition(n: int, rec: RamseyRecord) -> VertexClassSpec:
     """Assign every valid class of gamma to a named vertex.

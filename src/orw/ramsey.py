@@ -82,13 +82,6 @@ class WitnessGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def degree_multiset(self) -> tuple[int, ...]:
-        deg = [0] * self.order
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(sorted(deg))
-
     def relabel(self, perm: list[int]) -> "WitnessGraph":
         """Apply a permutation: vertex v of self becomes perm[v]."""
         if sorted(perm) != list(range(self.order)):
@@ -239,8 +232,7 @@ def _levels(n: int) -> Iterator[dict[int, tuple[int, ...]]]:
         k += 1
 
 
-def search_witnesses(order: int, n: int,
-                     limit: Optional[int] = None) -> list[WitnessGraph]:
+def search_witnesses(order: int, n: int) -> list[WitnessGraph]:
     """Non-isomorphic triangle-free graphs of given order with no independent
     n-set, sorted by canonical form, by vertex-by-vertex extension with
     canonical-form rejection (`_levels`)."""
@@ -250,7 +242,7 @@ def search_witnesses(order: int, n: int,
     for level in islice(_levels(n), order):
         pass
     return [_graph_from_masks(order, level[key])
-            for key in sorted(level)[:limit]]
+            for key in sorted(level)]
 
 
 def _graph_from_masks(order: int, masks) -> WitnessGraph:
@@ -444,7 +436,8 @@ def witness_from_json(text: str, source: str = "user-file") -> RamseyRecord:
         doc = json.loads(text)
         g = witness_graph_from_doc(doc)
         rec = RamseyRecord(_json_int(doc["n"], "n"), g.order + 1, g, source)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RamseyError) as exc:
+        # RamseyError: the graph's own refusal of an edge or the order
         raise RamseyError(f"malformed witness file: {exc!r}") from exc
     rep = verify_witness(g, rec.n)
     if not rep.ok:

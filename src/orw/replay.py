@@ -98,36 +98,39 @@ class VariableSpace:
         self.k = k
         self.gamma = replay_gamma(n, k)
         self.classes = tuple(valid_classes(self.gamma))
-        self._tilde: dict[tuple[NodeClassId, NodeClassId], int] = {}
-        self._hat: dict[tuple[int, int], int] = {}
-        self._names: list[str] = [""]  # 1-based
+        # Classes are numbered by position: component i's lower level first,
+        # its top last.  var[pa][pb] is the pair's variable, None within a
+        # component; hat[i] is component i's two top-pair variables.
+        self.pos = {c: p for p, c in enumerate(self.classes)}
+        self.var: list[list[Optional[int]]] = [[None] * len(self.classes)
+                                               for _ in self.classes]
+        self.hat: list[Optional[tuple[int, int]]] = [None] * (n + 1)
+        self.names: list[str] = [""]  # 1-based
         # classes run in (index, level) order, so the pairs do too
-        for a, b in combinations(self.classes, 2):
+        for (pa, a), (pb, b) in combinations(enumerate(self.classes), 2):
             if a.index == b.index:
                 continue
-            if a.index <= n and (a.index, 0) not in self._hat:
-                for lvl in (0, 1):
-                    self._hat[(a.index, lvl)] = len(self._names)
-                    self._names.append(f"h({a.index},{lvl})")
-            self._tilde[(a, b)] = len(self._names)
-            self._names.append(f"t({a.index},{a.level};{b.index},{b.level})")
+            if a.index <= n and self.hat[a.index] is None:
+                self.hat[a.index] = (len(self.names), len(self.names) + 1)
+                self.names += [f"h({a.index},0)", f"h({a.index},1)"]
+            self.var[pa][pb] = self.var[pb][pa] = len(self.names)
+            self.names.append(f"t({a.index},{a.level};{b.index},{b.level})")
 
     @property
     def num_vars(self) -> int:
-        return len(self._names) - 1
+        return len(self.names) - 1
 
     def tilde_var(self, a: NodeClassId, b: NodeClassId) -> int:
-        key = (a, b) if a < b else (b, a)
-        got = self._tilde.get(key)
+        pa, pb = self.pos.get(a), self.pos.get(b)
+        got = None if pa is None or pb is None else self.var[pa][pb]
         if got is None:
             raise OrdinalError(f"no color variable for classes {a}, {b}")
         return got
 
     def hat_var(self, i: int, level: int) -> int:
-        got = self._hat.get((i, level))
-        if got is None:
+        if not (1 <= i <= self.n and level in (0, 1)):
             raise OrdinalError(f"no top-pair variable for ({i},{level})")
-        return got
+        return self.hat[i][level]
 
     def limit_class(self, i: int) -> NodeClassId:
         """The singleton top class of component i (written L_i)."""
@@ -135,14 +138,16 @@ class VariableSpace:
             raise OrdinalError(f"component {i} out of range")
         return NodeClassId(i, 2 if i <= self.n else 1)
 
-    def var_name(self, idx: int) -> str:
-        return self._names[idx]
-
     def hat_items(self):
-        return sorted(self._hat.items())
+        """((i, level), variable) for every hat, in numbering order."""
+        return [((i, lvl), v) for i in range(1, self.n + 1)
+                for lvl, v in enumerate(self.hat[i])]
 
     def tilde_items(self):
-        return sorted(self._tilde.items())
+        """((a, b), variable) for every pair, in numbering order."""
+        return [((a, b), self.var[pa][pb]) for (pa, a), (pb, b)
+                in combinations(enumerate(self.classes), 2)
+                if a.index != b.index]
 
 
 class ClauseTag(NamedTuple):
@@ -206,7 +211,7 @@ class ClauseSystem:
             + (f"[\n        {sep.join(map(text.__getitem__, t.params))}"
                "\n      ]" if t.params else "[]") + "\n    }"
             for t in self.tags)
-        names = self.space._names
+        names = self.space.names
         variables = ",\n".join(f'    "{i}": {enc(names[i])}'
                                 for i in range(1, len(names)))
         return (f'{{\n  "n": {self.space.n},\n  "k": {self.space.k},\n'
@@ -272,17 +277,9 @@ def instantiate_clauses(n: int, k: int,
             f"the catalogue at n={n} K={k} has {size} clauses, more than "
             f"the limit of {MAX_CLAUSES}")
     space = VariableSpace(n, k)
-    # Classes are numbered by position: component i's lower level first,
-    # its top last.  var[pa][pb] is the pair's color variable, None within
-    # a component; hat[i][lvl] is component i's top-pair variable.
-    pos = {c: p for p, c in enumerate(space.classes)}
+    pos, var, hat = space.pos, space.var, space.hat
     base = [None] + [pos[NodeClassId(i, 0)] for i in range(1, n + k + 1)]
     lim = [None] + [pos[space.limit_class(i)] for i in range(1, n + k + 1)]
-    var: list[list] = [[None] * len(pos) for _ in pos]
-    for (a, b), v in space._tilde.items():
-        var[pos[a]][pos[b]] = var[pos[b]][pos[a]] = v
-    hat = [None] + [(space.hat_var(i, 0), space.hat_var(i, 1))
-                    for i in range(1, n + 1)]
     clauses: list[tuple[int, ...]] = []
     tags: list[ClauseTag] = []
 

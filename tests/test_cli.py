@@ -407,6 +407,27 @@ class TestRamsey:
                             "the limit of 10000\n")
         assert not any(tmp_path.rglob("never-written*"))
 
+    @pytest.mark.parametrize("edges, why", [
+        ([[0, 9], [1, 2]], "bad edge (0,9) for order 5"),
+        ([[0, 0], [1, 2]], "loop at vertex 0")], ids=["bad-edge", "loop"])
+    @pytest.mark.parametrize("command", [
+        ["ramsey", "verify", "-n", "3"],
+        ["lower", "verify", "-n", "3"],
+        ["upper", "replay", "-n", "3", "--k", "ramsey"],
+        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
+    ])
+    def test_graph_refusals_are_one_message(self, runner, tmp_path, command,
+                                            edges, why):
+        # every command that reads a witness calls the file malformed
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"n": 3, "order": 5, "edges": edges}))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, command + ["--witness", str(p)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed witness file: "
+                            f"RamseyError('{why}')\n")
+        assert not any(tmp_path.rglob("never-written*"))
+
     def test_export_unknown_builtin(self, runner, tmp_path):
         r = invoke(runner, ["ramsey", "export", "-n", "7", "-o",
                             str(tmp_path / "w.json")])
@@ -554,6 +575,23 @@ INEXACT_REFUSALS = [
                  _malformed("OrdinalError('point true is not an ordinal')"),
                  id="point-bool"),
 ]
+# gamma and every point is a JSON string or integer; no other value is
+# read, and none reaches the parser's own messages.
+POINT_REFUSALS = [
+    pytest.param({"gamma": "w*2", "overrides": [_pair(1.5, "w", 1)]},
+                 _malformed("OrdinalError('point 1.5 is not an ordinal')"),
+                 id="point-float"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair("3", None, 1)]},
+                 _malformed("OrdinalError('point null is not an ordinal')"),
+                 id="point-null"),
+    pytest.param({"gamma": "w*2", "overrides": [_pair([3], "w", 1)]},
+                 _malformed("OrdinalError('point [3] is not an ordinal')"),
+                 id="point-array"),
+    pytest.param({"gamma": 2.5}, _malformed(
+        "OrdinalError('gamma 2.5 is not an ordinal')"), id="gamma-float"),
+    pytest.param({"gamma": None}, _malformed(
+        "OrdinalError('gamma null is not an ordinal')"), id="gamma-null"),
+]
 # A table that is not a JSON list is refused whole, named, never read as
 # empty or walked key by key.
 TABLE_REFUSALS = [
@@ -584,8 +622,8 @@ NOT_AN_OBJECT_REFUSALS = [
 class TestColoring:
     @pytest.fixture
     def files(self, tmp_path):
-        red = QuotientColoring.uniform(parse("w^2*2+1"), 0)
-        blue = QuotientColoring.uniform(parse("w^2*2+1"), 1)
+        red = QuotientColoring.build(parse("w^2*2+1"), default=0)
+        blue = QuotientColoring.build(parse("w^2*2+1"), default=1)
         paths = {}
         for name, c in [("red", red), ("blue", blue)]:
             p = tmp_path / f"{name}.json"
@@ -652,6 +690,16 @@ class TestColoring:
         r = invoke(runner, ["coloring", "decide", str(path), "-n", "2"])
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
 
+    def test_integer_points_accepted(self, runner, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"gamma": 5, "overrides": [
+            _pair(0, 1, 1), _pair(1, 2, 1), _pair(0, 2, 1)]}))
+        r = invoke(runner, ["coloring", "decide", str(path), "-n", "2",
+                            "--json"])
+        assert r.exit_code == 1 and r.stderr == ""
+        assert json.loads(r.stdout)["blue_triple"]["triangle"] == \
+            ["0", "1", "2"]
+
     @pytest.mark.parametrize("doc, stderr", NOT_AN_OBJECT_REFUSALS)
     def test_non_object_refusals_are_pinned(self, runner, tmp_path, doc,
                                             stderr):
@@ -661,7 +709,8 @@ class TestColoring:
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr)
 
     @pytest.mark.parametrize("doc, stderr", DUPLICATE_REFUSALS
-                             + INEXACT_REFUSALS + TABLE_REFUSALS)
+                             + INEXACT_REFUSALS + TABLE_REFUSALS
+                             + POINT_REFUSALS)
     def test_contradictions_and_inexact_types_refused(self, runner, tmp_path,
                                                       doc, stderr):
         path = tmp_path / "bad.json"
@@ -712,6 +761,40 @@ class TestColoring:
         assert (r.exit_code, r.stdout) == (2, "")
         assert r.stderr == ("error: malformed certificate file: TypeError("
                             f"'certificate field {field} is not a list')\n")
+
+    @pytest.mark.parametrize("excluded", [[5], ["5"]], ids=["int", "string"])
+    def test_certificate_integer_point_accepted(self, runner, files,
+                                                tmp_path, excluded):
+        # points are read as coloring files read them: 5 is the point 5
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "kind": "red-omega-plus-n", "tail_class": [1, 0],
+            "limit_point": "w", "excluded": excluded,
+            "top_points": ["w+1"]}))
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert (r.exit_code, r.stderr) == (0, "")
+        assert r.stdout == "valid red-omega-plus-n certificate\n"
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("limit_point", True, "true"), ("limit_point", 1.5, "1.5"),
+        ("excluded", [False], "false"), ("top_points", [1.5], "1.5"),
+        ("top_points", ["w+1", None], "null"),
+        ("triangle", ["1", "2", [3]], "[3]")],
+        ids=["limit_point-bool", "limit_point-float", "excluded-bool",
+             "top_points-float", "top_points-null", "triangle-array"])
+    def test_certificate_point_refusals_are_pinned(self, runner, files,
+                                                   tmp_path, field, value,
+                                                   shown):
+        cert = json.loads(Path(files["cert"]).read_text())
+        cert[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        r = invoke(runner, ["coloring", "check", files["red"],
+                            "--certificate", str(path)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed certificate file: OrdinalError("
+                            f"'point {shown} is not an ordinal')\n")
 
     def test_inexact_certificate_class_refused(self, runner, files,
                                                tmp_path):

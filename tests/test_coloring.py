@@ -120,7 +120,7 @@ class TestBuildAndColorOf:
             assert color_of(c, a, b) in (0, 1)
 
     def test_errors(self):
-        c = QuotientColoring.uniform("w", RED)
+        c = QuotientColoring.build("w", default=RED)
         with pytest.raises(OrdinalError):
             color_of(c, 1, 1)
         with pytest.raises(OrdinalError):
@@ -180,10 +180,11 @@ class TestDecideBlue:
         assert decide_blue_closed_3(witness_coloring_3()) is None
 
     def test_all_blue_triangle(self):
-        cert = decide_blue_closed_3(QuotientColoring.uniform("w^2", BLUE))
+        cert = decide_blue_closed_3(
+            QuotientColoring.build("w^2", default=BLUE))
         assert cert.triangle == (o("0"), o("1"), o("2"))
         assert check_certificate(
-            QuotientColoring.uniform("w^2", BLUE), cert)
+            QuotientColoring.build("w^2", default=BLUE), cert)
 
     def test_three_classes_pairwise_blue(self):
         c = QuotientColoring.build(
@@ -209,8 +210,9 @@ class TestDecideBlue:
         assert cert is not None and check_certificate(c, cert)
 
     def test_too_few_points(self):
-        assert decide_blue_closed_3(QuotientColoring.uniform("2", BLUE)) is None
-        cert = decide_blue_closed_3(QuotientColoring.uniform("3", BLUE))
+        assert decide_blue_closed_3(
+            QuotientColoring.build("2", default=BLUE)) is None
+        cert = decide_blue_closed_3(QuotientColoring.build("3", default=BLUE))
         assert cert.triangle == (o("0"), o("1"), o("2"))
 
     def test_against_sampling_oracle(self):
@@ -246,7 +248,7 @@ class TestDecideBlue:
 
 class TestDecideRed:
     def test_whole_space_all_red(self):
-        c = QuotientColoring.uniform("w+3", RED)
+        c = QuotientColoring.build("w+3", default=RED)
         cert = decide_red_closed_omega_plus_n(c, 3)
         assert cert.tail_class == NodeClassId(1, 0)
         assert cert.limit_point == o("w")
@@ -331,7 +333,7 @@ class TestDecideRed:
 
 class TestCheckCertificate:
     def test_top_below_limit_rejected(self):
-        c = QuotientColoring.uniform("w*2+2", RED)
+        c = QuotientColoring.build("w*2+2", default=RED)
         cert = CopyCertificate(
             kind="red-omega-plus-n", tail_class=NodeClassId(1, 0),
             limit_point=o("w*2"), top_points=(o("w"),))
@@ -346,7 +348,7 @@ class TestCheckCertificate:
         assert not check_certificate(c, cert)
 
     def test_non_accumulating_tail_rejected(self):
-        c = QuotientColoring.uniform("w^2+w+1", RED)
+        c = QuotientColoring.build("w^2+w+1", default=RED)
         cert = CopyCertificate(
             kind="red-omega-plus-n", tail_class=NodeClassId(2, 0),
             limit_point=o("w^2"), top_points=())
@@ -388,7 +390,7 @@ class TestCheckCertificate:
         assert check_certificate(c, cert)
 
     def test_malformed_raises(self):
-        c = QuotientColoring.uniform("w", RED)
+        c = QuotientColoring.build("w", default=RED)
         with pytest.raises(ValueError):
             check_certificate(c, CopyCertificate(kind="mystery"))
         with pytest.raises(ValueError):

@@ -49,6 +49,13 @@ def pipeline(n):
     return spec, g, induced_lower_coloring(g)
 
 
+def vertex_of(spec, cid):
+    """The one vertex whose classes hold cid."""
+    (name,) = [name for name, classes in spec.vertices.items()
+               if cid in classes]
+    return name
+
+
 class TestPartition:
     def test_gamma_formula(self):
         assert lower_bound_gamma(3, 6) == parse("w^2*3+w*3+2")
@@ -81,7 +88,7 @@ class TestPartition:
                  "w^2*4+w*4+2", "w^2*4+w*5", "w^2*3"]
         for e in exprs:
             x = parse(e)
-            name = spec.vertex_of(classify(spec.gamma, x))
+            name = vertex_of(spec, classify(spec.gamma, x))
             assert name in spec.vertices
 
     def test_rejects_small_n(self):
@@ -263,7 +270,7 @@ class TestSabotage:
         cert = decide_red_closed_omega_plus_n(broken, 3)
         assert cert is not None
         # the omega-limits of the two no-longer-adjacent blocks top the copy
-        tops = {spec.vertex_of(classify(spec.gamma, t))
+        tops = {vertex_of(spec, classify(spec.gamma, t))
                 for t in cert.top_points}
         assert tops <= {f"L{i}" for i in range(1, 7)}
         assert decide_blue_closed_3(broken) is None

@@ -31,6 +31,11 @@ from orw.ramsey import (
 )
 
 
+def degrees(g):
+    """The sorted vertex degrees of g."""
+    return tuple(sorted(m.bit_count() for m in g.adjacency_masks()))
+
+
 class TestWitnessGraph:
     def test_from_pairs_normalizes(self):
         g = WitnessGraph.from_pairs(4, [(3, 1), (1, 3), (0, 2)])
@@ -46,14 +51,14 @@ class TestWitnessGraph:
 
     def test_degree_multiset(self):
         g = circulant(5, (1,))
-        assert g.degree_multiset() == (2, 2, 2, 2, 2)
+        assert degrees(g) == (2, 2, 2, 2, 2)
 
     def test_relabel_preserves_structure(self):
         g = circulant(8, (1, 4))
         perm = [3, 1, 4, 0, 6, 2, 7, 5]
         h = g.relabel(perm)
         assert len(h.edges) == len(g.edges)
-        assert h.degree_multiset() == g.degree_multiset()
+        assert degrees(h) == degrees(g)
         for a, b in combinations(range(8), 2):
             assert h.has_edge(perm[a], perm[b]) == g.has_edge(a, b)
 
@@ -62,7 +67,7 @@ class TestWitnessGraph:
         g = circulant(13, (1, 5))
         assert g.order == 13
         assert len(g.edges) == 13 * 2
-        assert g.degree_multiset() == (4,) * 13
+        assert degrees(g) == (4,) * 13
 
 
 class TestVerifyWitness:
@@ -190,9 +195,6 @@ class TestSearch:
         # oracle: exhaustive canonical search over order-6 graphs
         assert search_witnesses(6, 3) == []
 
-    def test_limit_short_circuits(self):
-        assert len(search_witnesses(5, 3, limit=1)) == 1
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_survivors_are_pinned(self, n):
         # orders 1..R(n,3): the last one is empty
@@ -265,7 +267,7 @@ class TestRelabelRedPrefix:
         before = builtin_record(5)
         after = relabel_red_prefix(before)
         assert len(after.witness.edges) == len(before.witness.edges)
-        assert after.witness.degree_multiset() == before.witness.degree_multiset()
+        assert degrees(after.witness) == degrees(before.witness)
 
     def test_identity_when_already_prefixed(self):
         once = relabel_red_prefix(builtin_record(4))

@@ -364,8 +364,42 @@ class TestVariableSpace:
     def test_names_round_trip(self):
         sp = VariableSpace(3, 7)
         v = sp.tilde_var(NodeClassId(1, 0), NodeClassId(4, 1))
-        assert sp.var_name(v) == "t(1,0;4,1)"
-        assert sp.var_name(sp.hat_var(3, 1)) == "h(3,1)"
+        assert sp.names[v] == "t(1,0;4,1)"
+        assert sp.names[sp.hat_var(3, 1)] == "h(3,1)"
+
+    def test_lookups_are_pinned(self):
+        sp = VariableSpace(3, 7)
+        C = NodeClassId
+        assert [sp.hat_var(i, lvl) for i in (1, 2, 3) for lvl in (0, 1)] \
+            == [1, 2, 63, 64, 116, 117]
+        assert sp.hat_var(1, True) == 2
+        pairs = [((1, 0), (2, 0)), ((10, 1), (1, 2)), ((3, 2), (4, 0)),
+                 ((10, 0), (9, 1))]
+        assert [sp.tilde_var(C(*a), C(*b)) for a, b in pairs] \
+            == [3, 62, 146, 242]
+
+    @pytest.mark.parametrize("i, level", [(0, 0), (4, 0), (-1, 0), (1, 2),
+                                          (1, -1)])
+    def test_hat_var_refusals_are_pinned(self, i, level):
+        # a negative or out-of-range index never wraps around
+        sp = VariableSpace(3, 7)
+        with pytest.raises(OrdinalError) as exc:
+            sp.hat_var(i, level)
+        assert str(exc.value) == f"no top-pair variable for ({i},{level})"
+
+    @pytest.mark.parametrize("a, b", [
+        ((2, 0), (2, 1)), ((1, 0), (1, 0)), ((1, 0), (11, 0)),
+        ((-1, 0), (1, 0)), ((0, 0), (1, 0)), ((1, 3), (2, 0)),
+        ((4, 2), (1, 0))],
+        ids=["same-component", "same-class", "index-past-the-end",
+             "index-negative", "index-zero", "level-past-the-top",
+             "level-past-a-limit-top"])
+    def test_tilde_var_refusals_are_pinned(self, a, b):
+        sp = VariableSpace(3, 7)
+        a, b = NodeClassId(*a), NodeClassId(*b)
+        with pytest.raises(OrdinalError) as exc:
+            sp.tilde_var(a, b)
+        assert str(exc.value) == f"no color variable for classes {a}, {b}"
 
     def test_rejects_small_parameters(self):
         with pytest.raises(OrdinalError):
@@ -380,8 +414,8 @@ class TestVariableSpace:
         for n in range(3, 7):
             for k in range(2, 30):
                 sp = VariableSpace(n, k)
-                digest.update(repr((n, k, sp._names, sorted(sp._hat.items()),
-                                    sorted(sp._tilde.items()))).encode())
+                digest.update(repr((n, k, sp.names, sp.hat_items(),
+                                    sp.tilde_items())).encode())
         assert digest.hexdigest() == ("e41c5d2a41eeb78cc43dc4da2f829372"
                                       "9057bbe40bdcd9b2f8c7e235a21be5f1")
 
@@ -677,7 +711,7 @@ def sidecar_oracle(sys_):
     return json.dumps({
         "n": space.n,
         "k": space.k,
-        "variables": {str(i): space.var_name(i)
+        "variables": {str(i): space.names[i]
                       for i in range(1, space.num_vars + 1)},
         "clauses": [{"schema": t.schema, "redundant": t.redundant,
                      "params": list(t.params)} for t in sys_.tags],
@@ -698,7 +732,7 @@ class TestDimacs:
         doc = json.loads(sys_.sidecar_json())
         assert len(doc["variables"]) == sys_.space.num_vars
         assert len(doc["clauses"]) == len(sys_)
-        assert doc["variables"]["1"] == sys_.space.var_name(1)
+        assert doc["variables"]["1"] == sys_.space.names[1]
         assert {c["schema"] for c in doc["clauses"]} == set(
             sys_.schema_counts())
 
