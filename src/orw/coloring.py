@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .ordinals import (
     NodeClassId,
@@ -61,18 +61,32 @@ __all__ = [
 ]
 
 
-def _as_ordinal(x: Union[Ordinal, str, int]) -> Ordinal:
+def _as_ordinal(x, what: str = "point") -> Ordinal:
+    """An Ordinal, an expression string or a non-negative int, read exactly:
+    a bool, a float or any other value is refused by name."""
     if isinstance(x, Ordinal):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Ordinal.from_int(x)
-    return parse(x)
+    if type(x) is str:
+        return parse(x)
+    raise OrdinalError(f"{what} {json.dumps(x)} is not an ordinal")
 
 def _as_class(x) -> NodeClassId:
+    """A NodeClassId, or a list or tuple of two ints, read exactly.  A wrong
+    length or an element int() cannot read keeps that Python error; a value
+    int() would read (1.9, "2", true, Infinity) is refused by name."""
     if isinstance(x, NodeClassId):
         return x
-    i, j = x
-    return NodeClassId(int(i), int(j))
+    if type(x) in (list, tuple):
+        i, j = x
+        if type(i) is int and type(j) is int:  # NodeClassId(i, j), unframed
+            return tuple.__new__(NodeClassId, x)
+        try:
+            int(i), int(j)
+        except OverflowError:
+            pass
+    raise OrdinalError(f"class {json.dumps(x)} is not a pair of integers")
 
 def _class_key(a: NodeClassId, b: NodeClassId) -> ClassPair:
     return (a, b) if a <= b else (b, a)
@@ -101,13 +115,15 @@ class QuotientColoring:
               default: Color = RED) -> "QuotientColoring":
         """Normalize and complete the tables; unspecified colors = `default`.
 
-        `within` maps class ids to colors; `cross` maps class pairs (either
-        order) to colors; `overrides` maps point pairs (ordinals, ints, or
-        expression strings) to colors.  A gamma with more than MAX_CLASSES
-        node classes is refused before any table is built: the cross table
-        grows with the square of that count.
+        `within` maps class ids to colors, `cross` class pairs (either
+        order) and `overrides` point pairs.  Every value is read here, with
+        exact types: gamma and each point an Ordinal, an expression string
+        or an int; each class a NodeClassId or a list or tuple of two ints;
+        each color the int 0 or 1, checked after every table.  A gamma with
+        more than MAX_CLASSES node classes is refused before any table is
+        built: the cross table grows with the square of that count.
         """
-        g = _as_ordinal(gamma)
+        g = _as_ordinal(gamma, "gamma")
         if g.is_zero():
             raise OrdinalError("coloring needs a nonzero gamma")
         count = class_count(g)
@@ -116,12 +132,9 @@ class QuotientColoring:
                 f"gamma {g} has {count} node classes, more than the limit "
                 f"of {MAX_CLASSES}")
         classes = valid_classes(g)
-        # a NodeClassId is a tuple, so an (i, j) key finds its class here
-        # unconverted; only a key that misses is read by _as_class
-        own = {cid: cid for cid in classes}
+        own = set(classes)
 
-        w_in = {own.get(k) or _as_class(k): int(v)
-                for k, v in (within or {}).items()}
+        w_in = {_as_class(k): v for k, v in (within or {}).items()}
         for k in w_in:
             if k not in own:
                 raise OrdinalError(f"within references invalid class {k}")
@@ -129,32 +142,35 @@ class QuotientColoring:
 
         x = dict.fromkeys(combinations(classes, 2), default)  # low-first
         given: set[ClassPair] = set()
-        for k, v in (cross or {}).items():
-            a = own.get(k[0]) or _as_class(k[0])
-            b = own.get(k[1]) or _as_class(k[1])
+        for k, col in (cross or {}).items():
+            a, b = _as_class(k[0]), _as_class(k[1])
             if a == b or a not in own or b not in own:
-                raise OrdinalError(f"cross references invalid pair {k}")
-            key, col = _class_key(a, b), int(v)
+                raise OrdinalError(
+                    f"cross references invalid pair {(tuple(a), tuple(b))}")
+            key = _class_key(a, b)
             if key in given and x[key] != col:
                 raise OrdinalError(f"conflicting cross colors for {key}")
             given.add(key)
             x[key] = col
 
         ov: dict[PointPair, Color] = {}
-        for k, v in (overrides or {}).items():
+        for k, col in (overrides or {}).items():
             a, b = _as_ordinal(k[0]), _as_ordinal(k[1])
             if a == b:
                 raise OrdinalError(f"override on a degenerate pair {a}")
             if not (a < g and b < g):
                 raise OrdinalError(f"override pair {a},{b} not below {g}")
             key = _point_key(a, b)
-            if key in ov and ov[key] != int(v):
+            if key in ov and ov[key] != col:
                 raise OrdinalError(f"conflicting overrides for {key}")
-            ov[key] = int(v)
+            ov[key] = col
 
-        for col in list(w.values()) + list(x.values()) + list(ov.values()):
-            if col not in (RED, BLUE):
-                raise OrdinalError(f"color {col} is not 0 or 1")
+        # a color given twice may be stored once (1 and True are equal), so
+        # the given tables are read as well as the completed ones
+        for col in chain(w.values(), x.values(), (cross or {}).values(),
+                         (overrides or {}).values()):
+            if type(col) is not int or col not in (RED, BLUE):
+                raise OrdinalError(f"color {json.dumps(col)} is not 0 or 1")
         return cls(g, w, x, ov)
 
     def touched(self) -> frozenset[Ordinal]:
@@ -492,47 +508,15 @@ def coloring_to_json(c: QuotientColoring) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _build_refuses(read, value) -> bool:
-    """Does build's reader (`int` or `_as_class`) refuse this JSON value?
-
-    Then build refuses it with the reader's own message, in build's order
-    of checks.  A value the reader takes (1.9, "2", true) is the JSON
-    reader's to refuse: build finds (1.0, 0) or (True, 0) in its class
-    table by tuple equality and never sees the type.  So is Infinity, on
-    which int() fails without a refusal.
-    """
-    try:
-        read(value)
-    except (TypeError, ValueError):
-        return True
-    except OverflowError:
-        pass
-    return False
-
-
-def _json_class(v) -> tuple:
-    t = tuple(v)
-    if (len(t) == 2 and type(t[0]) is int and type(t[1]) is int
-            or _build_refuses(_as_class, t)):
-        return t
-    raise OrdinalError(f"class {json.dumps(v)} is not a pair of integers")
-
-
-def _json_ordinal(x, what: str):
-    """x itself if it is a JSON string or integer, not a boolean (which
-    _as_ordinal would take for an int), a float or any other value."""
-    if type(x) not in (str, int):
-        raise OrdinalError(f"{what} {json.dumps(x)} is not an ordinal")
-    return x
-
-
 def _json_table(doc: dict, name: str, key_of, names) -> dict:
     """The table `name` of a coloring file, a JSON list (empty when absent)
     whose entries are read once and in order.
 
-    A key given twice must repeat its color; `names(key)` says what the
-    two colors conflict on.  A pair written in both orders reaches build
-    as two keys, and build refuses it there with the same message.
+    A color must be a JSON integer, so that 1 and true never meet as one
+    key's two colors; build checks its value.  A key given twice must
+    repeat its color; `names(key)` says what the two colors conflict on.
+    A pair written in both orders reaches build as two keys, and build
+    refuses it there with the same message.
     """
     entries = doc.get(name, [])
     if type(entries) is not list:
@@ -542,7 +526,7 @@ def _json_table(doc: dict, name: str, key_of, names) -> dict:
         if type(e) is not dict:
             raise OrdinalError(f"an entry of table {name} is not an object")
         key, color = key_of(e), e["color"]
-        if type(color) is not int and not _build_refuses(int, color):
+        if type(color) is not int:
             raise OrdinalError(f"color {json.dumps(color)} is not 0 or 1")
         if table.setdefault(key, color) != color:
             raise OrdinalError(f"conflicting {names(key)}")
@@ -550,32 +534,23 @@ def _json_table(doc: dict, name: str, key_of, names) -> dict:
 
 
 def coloring_from_json(text: str) -> QuotientColoring:
-    """Read a coloring file with exact JSON types, refusing contradictions.
+    """Read a coloring file, refusing contradictions; build reads the values.
 
-    Each table is a JSON list, a class element a JSON integer and a color
-    the integer 0 or 1; gamma and the points are expression strings or
-    integers, not booleans, floats or any other value.
-    Two colors for one class, class pair or point pair are refused in
-    either entry order.
+    Each table is a JSON list of objects.  Two colors for one class, class
+    pair or point pair are refused in either entry order.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
         raise TypeError("the coloring is not a JSON object")
-    gamma = _json_ordinal(doc["gamma"], "gamma")
-    within = _json_table(
-        doc, "within", lambda e: _json_class(e["class"]),
-        lambda k: f"within colors for {_as_class(k)}")
+    gamma = _as_ordinal(doc["gamma"], "gamma")
+    within = _json_table(doc, "within", lambda e: _as_class(e["class"]),
+                         lambda k: f"within colors for {k}")
     cross = _json_table(
-        doc, "cross",
-        lambda e: (_json_class(e["a"]), _json_class(e["b"])),
-        lambda k: "cross colors for "
-                  f"{_class_key(_as_class(k[0]), _as_class(k[1]))}")
+        doc, "cross", lambda e: (_as_class(e["a"]), _as_class(e["b"])),
+        lambda k: f"cross colors for {_class_key(*k)}")
     overrides = _json_table(
-        doc, "overrides",
-        lambda e: (_json_ordinal(e["a"], "point"),
-                   _json_ordinal(e["b"], "point")),
-        lambda k: "overrides for "
-                  f"{_point_key(_as_ordinal(k[0]), _as_ordinal(k[1]))}")
+        doc, "overrides", lambda e: (_as_ordinal(e["a"]), _as_ordinal(e["b"])),
+        lambda k: f"overrides for {_point_key(*k)}")
     return QuotientColoring.build(gamma, within=within, cross=cross,
                                   overrides=overrides)
 
@@ -600,21 +575,18 @@ def certificate_from_json(text: str) -> CopyCertificate:
     if type(doc) is not dict:
         raise TypeError("the certificate is not a JSON object")
 
-    def point(x) -> Ordinal:
-        return _as_ordinal(_json_ordinal(x, "point"))
-
     def points(name: str) -> tuple[Ordinal, ...]:
         # a JSON list of points; a string would be read a character a point
         xs = doc.get(name, [])
         if type(xs) is not list:
             raise TypeError(f"certificate field {name} is not a list")
-        return tuple(map(point, xs))
+        return tuple(map(_as_ordinal, xs))
     return CopyCertificate(
         kind=doc["kind"],
         tail_class=(None if doc.get("tail_class") is None
-                    else _as_class(_json_class(doc["tail_class"]))),
+                    else _as_class(doc["tail_class"])),
         limit_point=(None if doc.get("limit_point") is None
-                     else point(doc["limit_point"])),
+                     else _as_ordinal(doc["limit_point"])),
         excluded=points("excluded"),
         top_points=points("top_points"),
         triangle=None if doc.get("triangle") is None else points("triangle"),

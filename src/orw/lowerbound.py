@@ -219,12 +219,11 @@ def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
         stages.append(StageResult(name, ok, detail))
         return ok
 
-    rec = relabel_red_prefix(rec)
     gamma = lower_bound_gamma(n, rec.value)
     ok = stage("witness", rec.verified(),
                f"order {rec.witness.order}, source {rec.source}")
     if ok:
-        spec = build_partition(n, rec)
+        spec = build_partition(n, relabel_red_prefix(rec))
         graph = build_gn(spec)
         tri_ok, tri = check_triangle_free(graph)
         ok = stage("triangle-free", tri_ok, None if tri_ok else str(tri))

@@ -416,26 +416,32 @@ def witness_to_json(rec: RamseyRecord) -> str:
 
 
 def witness_graph_from_doc(doc) -> WitnessGraph:
-    """The graph of a parsed witness file: its order and every edge
-    endpoint must be JSON integers, and every edge a pair.  An order above
-    MAX_ORDER is refused before any edge or adjacency list is built."""
+    """The graph of a parsed witness file: a JSON object whose order and
+    every edge endpoint are JSON integers, and whose edges are a list of
+    two-element lists.  An order above MAX_ORDER is refused before any
+    edge or adjacency list is built."""
+    if type(doc) is not dict:
+        raise TypeError("the witness is not a JSON object")
     order = _json_int(doc["order"], "order")
     if order > MAX_ORDER:
         raise SizeLimitError(f"the witness has order {order}, more than "
                              f"the limit of {MAX_ORDER}")
+    if type(doc["edges"]) is not list:
+        raise TypeError("witness field edges is not a list")
     pairs = []
     for e in doc["edges"]:
-        if len(e) != 2:
+        if type(e) is not list or len(e) != 2:
             raise TypeError(f"edge {json.dumps(e)} is not a pair")
         pairs.append(tuple(_json_int(v, "edge endpoint") for v in e))
     return WitnessGraph.from_pairs(order, pairs)
 
 
-def witness_from_json(text: str, source: str = "user-file") -> RamseyRecord:
+def witness_from_json(text: str) -> RamseyRecord:
     try:
         doc = json.loads(text)
         g = witness_graph_from_doc(doc)
-        rec = RamseyRecord(_json_int(doc["n"], "n"), g.order + 1, g, source)
+        rec = RamseyRecord(_json_int(doc["n"], "n"), g.order + 1, g,
+                           "user-file")
     except (KeyError, TypeError, json.JSONDecodeError, RamseyError) as exc:
         # RamseyError: the graph's own refusal of an edge or the order
         raise RamseyError(f"malformed witness file: {exc!r}") from exc

@@ -428,6 +428,36 @@ class TestRamsey:
                             f"RamseyError('{why}')\n")
         assert not any(tmp_path.rglob("never-written*"))
 
+    @pytest.mark.parametrize("doc, why", [
+        ({"n": 3, "order": 5, "edges": "01"},
+         "witness field edges is not a list"),
+        ({"n": 3, "order": 5, "edges": {"01": 1}},
+         "witness field edges is not a list"),
+        ({"n": 3, "order": 5, "edges": 5}, "witness field edges is not a list"),
+        ([], "the witness is not a JSON object"),
+        ({"n": 3, "order": 5, "edges": ["23"]}, 'edge "23" is not a pair'),
+        ({"n": 3, "order": 5, "edges": [{"a": 1, "b": 2}]},
+         'edge {"a": 1, "b": 2} is not a pair'),
+    ], ids=["edges-string", "edges-object", "edges-number", "doc-array",
+            "edge-string", "edge-object"])
+    @pytest.mark.parametrize("command", [
+        ["ramsey", "verify", "-n", "3"],
+        ["lower", "verify", "-n", "3"],
+        ["upper", "replay", "-n", "3", "--k", "ramsey"],
+        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
+    ])
+    def test_witness_shape_refused_by_name(self, runner, tmp_path, command,
+                                           doc, why):
+        # a string was read one character an edge, an object key by key
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(doc))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, command + ["--witness", str(p)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: malformed witness file: "
+                            f"TypeError({why!r})\n")
+        assert not any(tmp_path.rglob("never-written*"))
+
     def test_export_unknown_builtin(self, runner, tmp_path):
         r = invoke(runner, ["ramsey", "export", "-n", "7", "-o",
                             str(tmp_path / "w.json")])
@@ -575,6 +605,25 @@ INEXACT_REFUSALS = [
                  _malformed("OrdinalError('point true is not an ordinal')"),
                  id="point-bool"),
 ]
+# A class or color that is no JSON integer is refused by name, not with
+# the message of a Python call that tried to read it.
+NAMED_VALUE_REFUSALS = [
+    pytest.param({"gamma": "w*2", "within": [{"class": 5, "color": 1}]},
+                 _malformed("OrdinalError('class 5 is not a pair of "
+                            "integers')"), id="class-number"),
+    pytest.param({"gamma": "w*2", "within": [{"class": "ab", "color": 1}]},
+                 _malformed("OrdinalError('class \"ab\" is not a pair of "
+                            "integers')"), id="class-not-a-list"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": "a"}]},
+                 _malformed("OrdinalError('color \"a\" is not 0 or 1')"),
+                 id="color-letter"),
+    pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": None}]},
+                 _malformed("OrdinalError('color null is not 0 or 1')"),
+                 id="color-null"),
+    pytest.param({"gamma": "w*2", "cross": [_pair([1, 0], [2, 0], [1])]},
+                 _malformed("OrdinalError('color [1] is not 0 or 1')"),
+                 id="cross-color-array"),
+]
 # gamma and every point is a JSON string or integer; no other value is
 # read, and none reaches the parser's own messages.
 POINT_REFUSALS = [
@@ -710,7 +759,7 @@ class TestColoring:
 
     @pytest.mark.parametrize("doc, stderr", DUPLICATE_REFUSALS
                              + INEXACT_REFUSALS + TABLE_REFUSALS
-                             + POINT_REFUSALS)
+                             + POINT_REFUSALS + NAMED_VALUE_REFUSALS)
     def test_contradictions_and_inexact_types_refused(self, runner, tmp_path,
                                                       doc, stderr):
         path = tmp_path / "bad.json"

@@ -135,6 +135,35 @@ class TestBuildAndColorOf:
             QuotientColoring.build(
                 "w^2", cross={((1, 0), (1, 1)): 1, ((1, 1), (1, 0)): 0})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"within": {(1.9, 0): 1}}, "class [1.9, 0] is not a pair of integers"),
+        ({"within": {(True, 0): 1}},
+         "class [true, 0] is not a pair of integers"),
+        ({"within": {("1", "0"): 1}},
+         'class ["1", "0"] is not a pair of integers'),
+        ({"within": {(1, 0): True}}, "color true is not 0 or 1"),
+        ({"cross": {((1, 0), (2, 0)): 1.0}}, "color 1.0 is not 0 or 1"),
+        ({"cross": {((1, 0), (2, 0)): "1"}}, 'color "1" is not 0 or 1'),
+        ({"overrides": {(True, "w"): 1}}, "point true is not an ordinal"),
+        ({"gamma": True}, "gamma true is not an ordinal"),
+        ({"gamma": 2.0}, "gamma 2.0 is not an ordinal"),
+    ], ids=["class-float", "class-bool", "class-strings", "within-color-bool",
+            "cross-color-float", "cross-color-string", "point-bool",
+            "gamma-bool", "gamma-float"])
+    def test_build_reads_exact_types(self, kwargs, message):
+        # each value was once coerced: (1.9, 0) colored class (1, 0), and a
+        # boolean point or gamma was built as the ordinal 'True'
+        with pytest.raises(OrdinalError) as info:
+            QuotientColoring.build(**{"gamma": "w*2", **kwargs})
+        assert str(info.value) == message
+
+    def test_build_checks_a_color_given_twice(self):
+        # 1.0 == 1, so the pair stores one color; the other is checked too
+        for first, second in ((1, 1.0), (1.0, 1)):
+            with pytest.raises(OrdinalError, match="color 1.0 is not 0 or 1"):
+                QuotientColoring.build("w*2", cross={
+                    ((1, 0), (2, 0)): first, ((2, 0), (1, 0)): second})
+
     def test_oversized_gamma_is_refused(self):
         # far above every shipped coloring (36 classes at the n = 5 lower
         # bound); the refusal comes from the counted classes, before any

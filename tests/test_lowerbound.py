@@ -255,6 +255,15 @@ class TestVerifyPipeline:
         rep = verify_lower_bound(5, builtin_record(5))
         assert rep.passed
 
+    def test_unverified_witness_fails_its_stage(self):
+        # the witness stage reports the record; nothing is relabeled first
+        rec = RamseyRecord(3, 6, WitnessGraph.from_pairs(5, [(0, 1)]),
+                           "user-file")
+        rep = verify_lower_bound(3, rec=rec)
+        assert not rep.passed
+        assert [(s.name, s.ok, s.detail) for s in rep.stages] == [
+            ("witness", False, "order 5, source user-file")]
+
     def test_missing_builtin_errors(self):
         with pytest.raises(RamseyError):
             verify_lower_bound(6)
