@@ -25,7 +25,7 @@ from .coloring import (
     decide_red_closed_omega_plus_n,
     check_certificate,
 )
-from .lowerbound import build_gn, build_partition, export_dot, verify_lower_bound
+from .lowerbound import export_dot, verify_lower_bound
 from .ordinals import Ordinal, OrdinalError, SizeLimitError, parse
 from .ramsey import (
     RamseyError,
@@ -34,7 +34,6 @@ from .ramsey import (
     builtin_record,
     load_ramsey_table,
     ramsey_value,
-    relabel_red_prefix,
     verify_witness,
     witness_from_json,
     witness_graph_from_doc,
@@ -240,10 +239,8 @@ def cmd_lower_verify(n: int, witness_path: Optional[str], control: bool,
     rec = witness_from_json(_read(witness_path)) if witness_path else None
     report = verify_lower_bound(n, rec=rec, control=control)
     if dot_path:
-        g = build_gn(build_partition(
-            n, relabel_red_prefix(rec or builtin_record(n))))
         with open(dot_path, "w") as fh:
-            fh.write(export_dot(g))
+            fh.write(export_dot(report.graph))
     if as_json:
         _echo(report.to_json())
     else:

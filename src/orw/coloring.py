@@ -61,6 +61,15 @@ __all__ = [
 ]
 
 
+def _shown(x) -> str:
+    """A refused value for a message: its JSON text, or its repr when it is
+    not a JSON value (an in-process caller may pass a Fraction)."""
+    try:
+        return json.dumps(x)
+    except (TypeError, ValueError):
+        return repr(x)
+
+
 def _as_ordinal(x, what: str = "point") -> Ordinal:
     """An Ordinal, an expression string or a non-negative int, read exactly:
     a bool, a float or any other value is refused by name."""
@@ -70,7 +79,7 @@ def _as_ordinal(x, what: str = "point") -> Ordinal:
         return Ordinal.from_int(x)
     if type(x) is str:
         return parse(x)
-    raise OrdinalError(f"{what} {json.dumps(x)} is not an ordinal")
+    raise OrdinalError(f"{what} {_shown(x)} is not an ordinal")
 
 def _as_class(x) -> NodeClassId:
     """A NodeClassId, or a list or tuple of two ints, read exactly.  A wrong
@@ -86,7 +95,7 @@ def _as_class(x) -> NodeClassId:
             int(i), int(j)
         except OverflowError:
             pass
-    raise OrdinalError(f"class {json.dumps(x)} is not a pair of integers")
+    raise OrdinalError(f"class {_shown(x)} is not a pair of integers")
 
 def _class_key(a: NodeClassId, b: NodeClassId) -> ClassPair:
     return (a, b) if a <= b else (b, a)
@@ -170,7 +179,7 @@ class QuotientColoring:
         for col in chain(w.values(), x.values(), (cross or {}).values(),
                          (overrides or {}).values()):
             if type(col) is not int or col not in (RED, BLUE):
-                raise OrdinalError(f"color {json.dumps(col)} is not 0 or 1")
+                raise OrdinalError(f"color {_shown(col)} is not 0 or 1")
         return cls(g, w, x, ov)
 
     def touched(self) -> frozenset[Ordinal]:
@@ -527,7 +536,7 @@ def _json_table(doc: dict, name: str, key_of, names) -> dict:
             raise OrdinalError(f"an entry of table {name} is not an object")
         key, color = key_of(e), e["color"]
         if type(color) is not int:
-            raise OrdinalError(f"color {json.dumps(color)} is not 0 or 1")
+            raise OrdinalError(f"color {_shown(color)} is not 0 or 1")
         if table.setdefault(key, color) != color:
             raise OrdinalError(f"conflicting {names(key)}")
     return table

@@ -12,7 +12,7 @@ closed copy of omega+n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional
@@ -191,6 +191,8 @@ class LowerBoundReport:
     gamma: Ordinal
     stages: tuple[StageResult, ...]
     passed: bool
+    # the vertex graph the stages checked; None if the witness failed
+    graph: Optional[GnGraph] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -220,6 +222,7 @@ def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
         return ok
 
     gamma = lower_bound_gamma(n, rec.value)
+    graph = None
     ok = stage("witness", rec.verified(),
                f"order {rec.witness.order}, source {rec.source}")
     if ok:
@@ -240,7 +243,7 @@ def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
         ctrl = decide_red_closed_omega_plus_n(coloring, n - 1)
         ok = stage("red-control-at-n-minus-1", ctrl is not None,
                    None if ctrl is None else certificate_to_json(ctrl))
-    return LowerBoundReport(n, gamma, tuple(stages), ok)
+    return LowerBoundReport(n, gamma, tuple(stages), ok, graph)
 
 
 def export_dot(g: GnGraph) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional
@@ -253,17 +254,27 @@ def _graph_from_masks(order: int, masks) -> WitnessGraph:
 
 @dataclass(frozen=True)
 class RamseyRecord:
-    """An R(n,3) value with its certifying witness and provenance."""
+    """An R(n,3) value with its certifying witness and provenance.
+
+    The witness is verified once per record, on the first read of
+    `report`, and every later check reads that report."""
 
     n: int
     value: int
     witness: Optional[WitnessGraph]
     source: str  # "builtin" | "computed" | "user-file"
 
+    @cached_property
+    def report(self) -> Optional[WitnessReport]:
+        """verify_witness on the witness, or None without one."""
+        if self.witness is None:
+            return None
+        return verify_witness(self.witness, self.n)
+
     def verified(self) -> bool:
         return (self.witness is not None
                 and self.witness.order == self.value - 1
-                and verify_witness(self.witness, self.n).ok)
+                and self.report.ok)
 
 
 def brute_force_ramsey(n: int) -> RamseyRecord:
@@ -289,23 +300,22 @@ def brute_force_ramsey(n: int) -> RamseyRecord:
 # -- builtin witnesses and the value table -----------------------------------
 
 
-_BUILTIN_WITNESSES = {
-    3: circulant(5, (1,)),
-    4: circulant(8, (1, 4)),
-    5: circulant(13, (1, 5)),
+_BUILTINS = {
+    3: RamseyRecord(3, 6, circulant(5, (1,)), "builtin"),
+    4: RamseyRecord(4, 9, circulant(8, (1, 4)), "builtin"),
+    5: RamseyRecord(5, 14, circulant(13, (1, 5)), "builtin"),
 }
-_BUILTIN_VALUES = {3: 6, 4: 9, 5: 14}
 
-for _n, _g in _BUILTIN_WITNESSES.items():
-    _rep = verify_witness(_g, _n)
-    if not _rep.ok or _g.order != _BUILTIN_VALUES[_n] - 1:
-        raise RamseyError(f"builtin witness for n={_n} failed verification: {_rep}")
+for _n, _rec in _BUILTINS.items():  # verified here, once, for every caller
+    if not _rec.verified():
+        raise RamseyError(
+            f"builtin witness for n={_n} failed verification: {_rec.report}")
 
 
 def builtin_record(n: int) -> RamseyRecord:
-    if n not in _BUILTIN_WITNESSES:
+    if n not in _BUILTINS:
         raise RamseyError(f"no builtin witness for n={n} (have 3, 4, 5)")
-    return RamseyRecord(n, _BUILTIN_VALUES[n], _BUILTIN_WITNESSES[n], "builtin")
+    return _BUILTINS[n]
 
 
 def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
@@ -313,7 +323,9 @@ def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
 
     An independent set of that size always exists in a verified witness
     (otherwise the graph would certify a larger value one step down), so a
-    failed search means the input was never verified.
+    failed search means the input was never verified.  A vertex
+    permutation keeps "triangle-free with no independent n-set", so the
+    output carries the input's report and is not verified again.
     """
     g = rec.witness
     if g is None or not rec.verified():
@@ -328,7 +340,9 @@ def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
     rest = [v for v in range(g.order) if v not in set(ind)]
     for pos, v in enumerate(list(ind) + rest):
         perm[v] = pos
-    return RamseyRecord(rec.n, rec.value, g.relabel(perm), rec.source)
+    out = RamseyRecord(rec.n, rec.value, g.relabel(perm), rec.source)
+    out.__dict__["report"] = rec.report  # where cached_property keeps it
+    return out
 
 
 def _prefix_independent(g: WitnessGraph, k: int) -> bool:
@@ -445,7 +459,6 @@ def witness_from_json(text: str) -> RamseyRecord:
     except (KeyError, TypeError, json.JSONDecodeError, RamseyError) as exc:
         # RamseyError: the graph's own refusal of an edge or the order
         raise RamseyError(f"malformed witness file: {exc!r}") from exc
-    rep = verify_witness(g, rec.n)
-    if not rep.ok:
-        raise RamseyError(f"witness file fails verification: {rep}")
+    if not rec.report.ok:
+        raise RamseyError(f"witness file fails verification: {rec.report}")
     return rec

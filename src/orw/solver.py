@@ -21,32 +21,32 @@ ties.  It keeps every clause of LBD <= 2, the reason of every level-0
 literal and the clause just learned.  Nothing is random, so identical
 inputs explore identical search trees.  Unsatisfiable runs end with a
 resolution trace whose steps name premises, not clauses: an axiom cites an
-input clause, a resolution two earlier steps and a pivot variable.  The
-steps are stored as three packed columns of 4-byte signed integers (left,
-right, pivot; an axiom has right = -1), 12 bytes a step; a value that does
-not fit raises instead of wrapping.  A deleted clause's step stays in the
-trace, so later steps may still cite it.  An independent checker derives
-every clause from what its step cites, as in Goldberg & Novikov (DATE
-2003), and requires the final one to be empty.  Satisfiable runs return a
-total model.  Exceeding the decision budget raises, keeping resource
-exhaustion distinct from either answer.
+input clause, a resolution two earlier steps and a pivot variable.  A
+trace is three packed columns of 4-byte signed integers (left, right,
+pivot; an axiom has right = -1) and the index of its final step, 12 bytes
+a step; a value that does not fit raises instead of wrapping.  The solver
+appends to the columns and the checker reads them as they are.  A deleted
+clause's step stays in the trace, so later steps may still cite it.  An
+independent checker derives every clause from what its step cites, as in
+Goldberg & Novikov (DATE 2003), and requires the final one to be empty.
+Satisfiable runs return a total model.  Exceeding the decision budget
+raises, keeping resource exhaustion distinct from either answer.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import NamedTuple, Optional
+from typing import Optional
 
 __all__ = [
     "BudgetExceeded",
     "SolveResult",
     "StepColumns",
     "Trace",
-    "TraceStep",
     "check_trace",
     "solve",
 ]
@@ -66,19 +66,11 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-class TraceStep(NamedTuple):
-    kind: str  # "axiom" | "resolve"
-    left: int  # clause index (axiom) or step index (resolve)
-    right: int  # -1 (axiom) or step index (resolve)
-    pivot: int  # 0 (axiom) or the resolved variable
-
-
-class StepColumns(Sequence):
-    """The steps of a trace as three `array('i')` columns, read as a
-    sequence of TraceStep: `len` reads no step, and indexing builds each
-    TraceStep on demand.  Packed by `of`, a step of unknown kind or a
-    resolution citing step -1 is stored as a resolution citing step -2,
-    which `check_trace` rejects as it rejects the step given."""
+class StepColumns:
+    """The steps of a trace as three `array('i')` columns: `left` cites an
+    input clause (axiom) or an earlier step, `right` is -1 for an axiom or
+    the other step cited, and `pivot` is 0 for an axiom or the resolved
+    variable.  `len` is the number of steps."""
 
     __slots__ = ("left", "right", "pivot")
 
@@ -86,21 +78,6 @@ class StepColumns(Sequence):
         self.left = array("i")
         self.right = array("i")
         self.pivot = array("i")
-
-    @classmethod
-    def of(cls, steps: Iterable[TraceStep]) -> "StepColumns":
-        cols = cls()
-        for st in steps:
-            if st.kind == "axiom":
-                right = -1
-            elif st.kind == "resolve" and st.right != -1:
-                right = st.right
-            else:
-                right = -2
-            cols.left.append(st.left)
-            cols.right.append(right)
-            cols.pivot.append(st.pivot)
-        return cols
 
     def trim(self) -> None:
         """Drop the columns' growth slack: a copy of an array is allocated
@@ -111,28 +88,11 @@ class StepColumns(Sequence):
     def __len__(self) -> int:
         return len(self.left)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        right = self.right[i]
-        return TraceStep("axiom" if right == -1 else "resolve",
-                         self.left[i], right, self.pivot[i])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StepColumns):
-            return NotImplemented
-        return (self.left == other.left and self.right == other.right
-                and self.pivot == other.pivot)
-
 
 @dataclass(frozen=True)
 class Trace:
-    steps: StepColumns  # a sequence of TraceStep is packed on the way in
+    steps: StepColumns
     final: int  # index of the empty-clause step
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, StepColumns):
-            object.__setattr__(self, "steps", StepColumns.of(self.steps))
 
 
 @dataclass(frozen=True)

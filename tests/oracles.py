@@ -214,18 +214,20 @@ def check_trace_sets(clauses: Sequence[Sequence[int]], trace) -> bool:
     derived clause: the plain form of `orw.solver.check_trace`, which must
     accept and reject exactly the same traces."""
     derived: list[frozenset[int]] = []
-    for idx, st in enumerate(trace.steps):
-        if st.kind == "axiom":
-            if not 0 <= st.left < len(clauses):
+    cols = trace.steps
+    for idx, (left, right, v) in enumerate(
+            zip(cols.left, cols.right, cols.pivot)):
+        if right == -1:  # an axiom
+            if not 0 <= left < len(clauses):
                 return False
-            derived.append(frozenset(clauses[st.left]))
-        elif st.kind == "resolve":
-            if not (0 <= st.left < idx and 0 <= st.right < idx):
+            derived.append(frozenset(clauses[left]))
+        elif right >= 0:  # a resolution
+            if not (0 <= left < idx and right < idx):
                 return False
-            a, b, v = derived[st.left], derived[st.right], st.pivot
+            a, b = derived[left], derived[right]
             if v <= 0 or v not in a or -v not in b:
                 return False
             derived.append((a - {v}) | (b - {-v}))
-        else:
+        else:  # right < -1 is neither
             return False
     return 0 <= trace.final < len(derived) and not derived[trace.final]

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import orw.lowerbound
+import orw.ramsey
 from orw.cli import main
 from orw.coloring import (
     CopyCertificate,
@@ -164,6 +166,40 @@ class TestLower:
         text = dot.read_text()
         assert text.startswith("graph")
         assert "stratum" in text
+
+    def test_witness_run_verifies_and_builds_once(self, runner, tmp_path,
+                                                  monkeypatch):
+        # a record carries its one verification, and the DOT file is the
+        # graph the stages checked: a witness file is verified once and the
+        # construction built once; a builtin was verified at import
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(orw.ramsey, "verify_witness")
+        count(orw.lowerbound, "build_partition")
+        count(orw.lowerbound, "build_gn")
+        wit = tmp_path / "w.json"
+        wit.write_text(witness_to_json(builtin_record(5)))
+        dots = tmp_path / "file.dot", tmp_path / "builtin.dot"
+        r = invoke(runner, ["lower", "verify", "-n", "5", "--witness",
+                            str(wit), "--dot", str(dots[0])])
+        assert r.exit_code == 0
+        assert calls == {"verify_witness": 1, "build_partition": 1,
+                         "build_gn": 1}
+        calls.clear()
+        r = invoke(runner, ["lower", "verify", "-n", "5", "--dot",
+                            str(dots[1])])
+        assert r.exit_code == 0
+        assert calls == {"build_partition": 1, "build_gn": 1}
+        assert dots[0].read_bytes() == dots[1].read_bytes()
 
     def test_bad_witness_is_input_error(self, runner, tmp_path):
         wit = tmp_path / "w.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator
 
@@ -147,12 +148,19 @@ class TestBuildAndColorOf:
         ({"overrides": {(True, "w"): 1}}, "point true is not an ordinal"),
         ({"gamma": True}, "gamma true is not an ordinal"),
         ({"gamma": 2.0}, "gamma 2.0 is not an ordinal"),
+        ({"within": {(Fraction(1), 0): 1}},
+         "class (Fraction(1, 1), 0) is not a pair of integers"),
+        ({"within": {(1, 0): Fraction(1)}}, "color Fraction(1, 1) is not 0 or 1"),
+        ({"overrides": {(Fraction(1), "w"): 1}},
+         "point Fraction(1, 1) is not an ordinal"),
     ], ids=["class-float", "class-bool", "class-strings", "within-color-bool",
             "cross-color-float", "cross-color-string", "point-bool",
-            "gamma-bool", "gamma-float"])
+            "gamma-bool", "gamma-float", "class-fraction",
+            "within-color-fraction", "point-fraction"])
     def test_build_reads_exact_types(self, kwargs, message):
         # each value was once coerced: (1.9, 0) colored class (1, 0), and a
-        # boolean point or gamma was built as the ordinal 'True'
+        # boolean point or gamma was built as the ordinal 'True'.  A value
+        # that is not JSON (a Fraction) is named by its repr
         with pytest.raises(OrdinalError) as info:
             QuotientColoring.build(**{"gamma": "w*2", **kwargs})
         assert str(info.value) == message

@@ -31,8 +31,8 @@ from orw.solver import (
     REDUCE_FIRST,
     RESTART_UNIT,
     BudgetExceeded,
+    StepColumns,
     Trace,
-    TraceStep,
     check_trace,
     solve,
 )
@@ -50,6 +50,23 @@ def php_clauses(holes):
             for p2 in range(p1 + 1, holes + 1):
                 cls.append((-var[p1, h], -var[p2, h]))
     return cls, len(var)
+
+
+def trace_of(rows, final):
+    """A Trace packed from (left, right, pivot) rows; an axiom has right -1
+    and pivot 0, a resolution right >= 0."""
+    steps = StepColumns()
+    for left, right, pivot in rows:
+        steps.left.append(left)
+        steps.right.append(right)
+        steps.pivot.append(pivot)
+    return Trace(steps, final)
+
+
+def rows_of(trace):
+    """The (left, right, pivot) rows of a trace's columns."""
+    cols = trace.steps
+    return list(zip(cols.left, cols.right, cols.pivot))
 
 
 class TestSolver:
@@ -114,7 +131,9 @@ class TestSolver:
             a, b = solve(cls, nv), solve(cls, nv)
             assert (a.nodes, a.conflicts, a.restarts, a.reductions) == \
                 (b.nodes, b.conflicts, b.restarts, b.reductions)
-            assert a.trace.steps == b.trace.steps
+            for col in ("left", "right", "pivot"):
+                assert getattr(a.trace.steps, col) == \
+                    getattr(b.trace.steps, col)
 
     def test_restarts_on_pigeonhole_7(self):
         # past RESTART_UNIT conflicts the search restarts and decides by
@@ -166,60 +185,56 @@ class TestSolver:
     def test_checker_rejects_tampering(self):
         cls = [(1,), (-1,)]
         r = solve(cls, 1)
-        steps = list(r.trace.steps)
+        steps = rows_of(r.trace)
         assert check_trace(cls, r.trace)
 
         def swap(i, step):
             bad = steps.copy()
             bad[i] = step
-            return Trace(tuple(bad), r.trace.final)
+            return trace_of(bad, r.trace.final)
 
-        i = next(i for i, s in enumerate(steps) if s.kind == "axiom")
+        i = next(i for i, (_, right, _) in enumerate(steps) if right == -1)
         # an axiom citing the other input clause derives the wrong clause
-        wrong = 1 - steps[i].left
-        assert not check_trace(cls, swap(i, TraceStep("axiom", wrong, -1, 0)))
+        wrong = 1 - steps[i][0]
+        assert not check_trace(cls, swap(i, (wrong, -1, 0)))
         # an axiom citing no input clause at all
         for ci in (len(cls), -1):
-            assert not check_trace(cls, swap(i, TraceStep("axiom", ci, -1, 0)))
+            assert not check_trace(cls, swap(i, (ci, -1, 0)))
         # a resolution citing itself or a later step
         j = r.trace.final
-        st = steps[j]
-        assert st.kind == "resolve"
-        for left, right in ((j, st.right), (st.left, j), (j + 1, st.right)):
-            assert not check_trace(
-                cls, swap(j, TraceStep("resolve", left, right, st.pivot)))
-        assert not check_trace(cls, swap(i, TraceStep("resolve", j, j, 1)))
-        # an unknown step kind
-        assert not check_trace(cls, swap(i, TraceStep("lemma", 0, -1, 0)))
+        left_j, right_j, pivot_j = steps[j]
+        assert right_j >= 0
+        for left, right in ((j, right_j), (left_j, j), (j + 1, right_j)):
+            assert not check_trace(cls, swap(j, (left, right, pivot_j)))
+        assert not check_trace(cls, swap(i, (j, j, 1)))
+        # a step that is neither an axiom (right -1) nor a resolution
+        assert not check_trace(cls, swap(i, (0, -2, 0)))
         # the final step must exist and be empty
-        assert not check_trace(cls, Trace(tuple(steps), i))
-        assert not check_trace(cls, Trace(tuple(steps), len(steps)))
+        assert not check_trace(cls, trace_of(steps, i))
+        assert not check_trace(cls, trace_of(steps, len(steps)))
 
     def test_checker_rejects_bad_pivot(self):
         # each bad step below would derive (2) if let through, and the next
         # step resolves (2) with (-2), so only the pivot check rejects it
         cls = [(1, 2), (-1, 2), (-2,), (2,)]
-        ax = tuple(TraceStep("axiom", ci, -1, 0) for ci in range(4))
+        ax = [(ci, -1, 0) for ci in range(4)]
 
         def refute(step):
-            return Trace(ax + (step, TraceStep("resolve", 4, 2, 2)), 5)
+            return trace_of(ax + [step, (4, 2, 2)], 5)
 
-        assert check_trace(cls, refute(TraceStep("resolve", 0, 1, 1)))
+        assert check_trace(cls, refute((0, 1, 1)))
         # pivot absent from the first premise: (2) with (-1 2) on 1
-        assert not check_trace(cls, refute(TraceStep("resolve", 3, 1, 1)))
+        assert not check_trace(cls, refute((3, 1, 1)))
         # pivot's negation absent from the second premise: (1 2) with (2)
-        assert not check_trace(cls, refute(TraceStep("resolve", 0, 3, 1)))
+        assert not check_trace(cls, refute((0, 3, 1)))
         # a pivot must be a positive variable
-        assert not check_trace(cls, refute(TraceStep("resolve", 1, 0, -1)))
-        assert not check_trace(cls, refute(TraceStep("resolve", 0, 1, 0)))
+        assert not check_trace(cls, refute((1, 0, -1)))
+        assert not check_trace(cls, refute((0, 1, 0)))
         # a legal resolution that leaves a literal is not a refutation
-        assert not check_trace(
-            cls, Trace(ax + (TraceStep("resolve", 0, 1, 1),), 4))
+        assert not check_trace(cls, trace_of(ax + [(0, 1, 1)], 4))
         # resolving (1) with (2) on 1 is no resolution
-        steps = (TraceStep("axiom", 0, -1, 0),
-                 TraceStep("axiom", 1, -1, 0),
-                 TraceStep("resolve", 0, 1, 1))
-        assert not check_trace([(1,), (2,)], Trace(steps, 2))
+        steps = [(0, -1, 0), (1, -1, 0), (0, 1, 1)]
+        assert not check_trace([(1,), (2,)], trace_of(steps, 2))
 
     def test_checker_agrees_with_set_oracle(self):
         # the bitmask checker and the frozenset oracle accept the solver's
@@ -235,27 +250,28 @@ class TestSolver:
                 systems.append((cls, nv))
         for cls, nv in systems:
             r = solve(cls, nv)
-            steps, final = list(r.trace.steps), r.trace.final
+            steps, final = rows_of(r.trace), r.trace.final
             assert check_trace(cls, r.trace) and check_trace_sets(cls, r.trace)
-            res = [i for i, s in enumerate(steps) if s.kind == "resolve"]
-            ax = [i for i, s in enumerate(steps) if s.kind == "axiom"]
+            res = [i for i, (_, right, _) in enumerate(steps) if right >= 0]
+            ax = [i for i, (_, right, _) in enumerate(steps) if right == -1]
             bad = []
             for i in rng.sample(res, min(len(res), 5)):
-                st = steps[i]
+                left, right, pivot = steps[i]
                 # the pivot looked up in the wrong premise
-                bad.append((i, st._replace(left=st.right, right=st.left)))
+                bad.append((i, (right, left, pivot)))
                 # a forward reference, and a self-reference
-                bad.append((i, st._replace(right=i + 1)))
-                bad.append((i, st._replace(left=i)))
+                bad.append((i, (left, i + 1, pivot)))
+                bad.append((i, (i, right, pivot)))
             for i in rng.sample(ax, min(len(ax), 3)):
                 for ci in (len(cls), -1):  # an axiom citing no input
-                    bad.append((i, steps[i]._replace(left=ci)))
-                bad.append((i, steps[i]._replace(kind="lemma")))
-            traces = [Trace(tuple(steps[:i] + [st] + steps[i + 1:]), final)
+                    bad.append((i, (ci, -1, 0)))
+                # neither an axiom (right -1) nor a resolution (right >= 0)
+                bad.append((i, (steps[i][0], -2, 0)))
+            traces = [trace_of(steps[:i] + [st] + steps[i + 1:], final)
                       for i, st in bad]
             # a final step that derives a non-empty clause
-            traces += [Trace(tuple(steps), i) for i in ax[:3]]
-            traces.append(Trace(tuple(steps), len(steps)))
+            traces += [trace_of(steps, i) for i in ax[:3]]
+            traces.append(trace_of(steps, len(steps)))
             for t in traces:
                 assert check_trace(cls, t) == check_trace_sets(cls, t)
                 assert not check_trace(cls, t)
@@ -264,18 +280,18 @@ class TestSolver:
         # (2) is derived once and cited twice, with a step in between, so
         # freeing a resolvent after its last use must keep it alive
         cls = [(1, 2), (-1, 2), (-2, 3), (-2, -3)]
-        steps = (TraceStep("axiom", 0, -1, 0),
-                 TraceStep("axiom", 1, -1, 0),
-                 TraceStep("resolve", 0, 1, 1),   # (2)
-                 TraceStep("axiom", 2, -1, 0),
-                 TraceStep("resolve", 2, 3, 2),   # (3)
-                 TraceStep("axiom", 3, -1, 0),
-                 TraceStep("resolve", 2, 5, 2),   # (-3)
-                 TraceStep("resolve", 4, 6, 3))   # ()
-        assert check_trace(cls, Trace(steps, 7))
+        steps = [(0, -1, 0),
+                 (1, -1, 0),
+                 (0, 1, 1),   # (2)
+                 (2, -1, 0),
+                 (2, 3, 2),   # (3)
+                 (3, -1, 0),
+                 (2, 5, 2),   # (-3)
+                 (4, 6, 3)]   # ()
+        assert check_trace(cls, trace_of(steps, 7))
         # the same proof with a premise gone is rejected
-        broken = steps[:6] + (TraceStep("resolve", 0, 5, 2),) + steps[7:]
-        assert not check_trace(cls, Trace(broken, 7))
+        broken = steps[:6] + [(0, 5, 2)] + steps[7:]
+        assert not check_trace(cls, trace_of(broken, 7))
 
     def test_trace_is_packed_at_12_bytes_a_step(self):
         cls, nv = php_clauses(6)
@@ -285,36 +301,20 @@ class TestSolver:
                    for col in (steps.left, steps.right, steps.pivot))
         assert len(steps) > 1000 and held <= 12 * len(steps)
 
-    def test_trace_reads_as_steps(self):
-        cls, nv = php_clauses(4)
-        r = solve(cls, nv)
-        steps = r.trace.steps
-        listed = list(steps)
-        assert len(listed) == len(steps)
-        assert [steps[i] for i in range(len(steps))] == listed
-        assert steps[-1] == listed[-1] and steps[2:5] == listed[2:5]
-        assert {st.kind for st in listed} == {"axiom", "resolve"}
-        assert all(st.right == -1 and st.pivot == 0
-                   for st in listed if st.kind == "axiom")
-        # packing the steps again gives equal columns and the same verdict
-        again = Trace(tuple(listed), r.trace.final)
-        assert again == r.trace and again.steps == steps
-        assert check_trace(cls, again)
-
     def test_column_values_never_wrap(self):
+        # the columns are what solve appends to, so a step past 32 bits
+        # raises there instead of being stored wrapped
         top = 2**31 - 1
-        st = TraceStep("resolve", top, -2**31, top)
-        assert Trace((st,), 0).steps[0] == st
+        row = (top, -2**31, top)
+        assert rows_of(trace_of([row], 0)) == [row]
         for bad in (2**31, -2**31 - 1, 2**32, 2**40):
-            for step in (TraceStep("axiom", bad, -1, 0),
-                         TraceStep("resolve", 0, bad, 1),
-                         TraceStep("resolve", 0, 1, bad)):
+            for row in ((bad, -1, 0), (0, bad, 1), (0, 1, bad)):
                 with pytest.raises(OverflowError):
-                    Trace((step,), 0)
+                    trace_of([row], 0)
 
     def test_solve_keeps_little_beyond_its_trace(self):
         # with the collector off, only what refcounting frees is freed.
-        # After this solve a trace of one TraceStep a step holds about
+        # After this solve a trace of one tuple a step would hold about
         # 200 000 memory blocks, and a reference cycle through the
         # solver's closures keeps about 30 000.  The packed trace is three
         # arrays; the blocks left are CPython's tuple free lists, emptied
