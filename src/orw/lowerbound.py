@@ -213,6 +213,8 @@ def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
     `control`, additionally demands that weakening the target to omega+(n-1)
     does produce a certificate, guarding against a vacuous pass.
     """
+    if n < 3:
+        raise OrdinalError(f"construction needs n >= 3, got {n}")
     if rec is None:
         rec = builtin_record(n)
     stages: list[StageResult] = []

@@ -9,7 +9,12 @@ provenance flags.
 
 The search (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998) runs upward once, extending each order's survivors by one vertex and
-keeping one graph per canonical form, on adjacency bitmasks throughout.
+keeping the first graph found in each isomorphism class, on adjacency
+bitmasks throughout.  Duplicates are found by a backtracking isomorphism
+test between graphs with equal sorted vertex labels (degree, then the
+neighbours' sorted degrees: the first refinement of McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 2014); canonical forms
+are computed only for the level an answer is drawn from.
 """
 
 from __future__ import annotations
@@ -133,8 +138,16 @@ def _find_independent_set(g: WitnessGraph, size: int) -> Optional[tuple[int, ...
     return _independent_set(g.adjacency_masks(), (1 << g.order) - 1, size)
 
 
+def _check_n(n: int) -> None:
+    """Refuse n < 1: an independent set of that size is nothing to avoid."""
+    if n < 1:
+        raise RamseyError(f"the search needs n >= 1, got {n}")
+
+
 def verify_witness(g: WitnessGraph, n: int) -> WitnessReport:
-    """True iff g is triangle-free and has no independent set of size n."""
+    """True iff g is triangle-free and has no independent set of size n,
+    for n >= 1 (a smaller n is refused)."""
+    _check_n(n)
     tri = _find_triangle(g)
     if tri is not None:
         return WitnessReport(False, tri, None)
@@ -204,30 +217,72 @@ def _independent_subsets(masks, k: int) -> Iterator[int]:
     yield from extend(0, 0, 0)
 
 
-def _levels(n: int) -> Iterator[dict[int, tuple[int, ...]]]:
+def _labels(masks) -> list[tuple[int, tuple[int, ...]]]:
+    """Each vertex's degree and its neighbours' sorted degrees: a label
+    every isomorphism carries to the image vertex's label."""
+    degrees = [m.bit_count() for m in masks]
+    return [(d, tuple(sorted(degrees[u] for u in range(len(masks))
+                             if m >> u & 1)))
+            for d, m in zip(degrees, masks)]
+
+
+def _isomorphic(a, a_labels, b, b_labels) -> bool:
+    """Whether a label-preserving bijection carries graph a onto graph b,
+    given that their sorted labels are equal.
+
+    Backtracking places a's vertices in order, each on an unused vertex of
+    b with its label whose adjacency to the images placed so far is the
+    image of its own adjacency to their preimages.
+    """
+    image = [0] * len(a)  # the bit of each placed vertex's image in b
+
+    def place(v: int, used: int) -> bool:
+        if v == len(a):
+            return True
+        # the images are distinct bits, so their sum is their union
+        want = sum(image[u] for u in range(v) if a[v] >> u & 1)
+        for w, label in enumerate(b_labels):
+            if (label == a_labels[v] and not used >> w & 1
+                    and b[w] & used == want):
+                image[v] = 1 << w
+                if place(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def _levels(n: int) -> Iterator[list[tuple[int, ...]]]:
     """The survivors of orders 1, 2, ...: one representative per
-    isomorphism class, as adjacency masks keyed by `_canonical_bits`.
+    isomorphism class, as adjacency masks, in the order found.
 
     Survivors are the triangle-free graphs with no independent n-set; with
     n >= 1 the empty graph of order 0 is one.  Each order-k survivor is
     extended once, by a vertex k joined to each of its independent sets in
     turn (so no triangle appears).  The survivor had no independent n-set,
     so the extension has one exactly when vertex k's non-neighbours hold an
-    independent (n-1)-set.  The first representative found for a canonical
-    form is kept.  Stops after the first empty level.
+    independent (n-1)-set.  The first graph found in a class is kept: an
+    extension is dropped when `_isomorphic` maps it onto a kept graph with
+    the same sorted `_labels`.  Stops after the first empty level.
     """
-    level: dict[int, tuple[int, ...]] = {0: ()}
+    level: list[tuple[int, ...]] = [()]
     k = 0
     while level:
         below = (1 << k) - 1
-        nxt: dict[int, tuple[int, ...]] = {}
-        for masks in level.values():
+        nxt: list[tuple[int, ...]] = []
+        kept: dict[tuple, list] = {}  # sorted labels -> (masks, labels)
+        for masks in level:
             for nb in _independent_subsets(masks, k):
                 if _independent_set(masks, below & ~nb, n - 1) is not None:
                     continue
                 new = tuple(m | (nb >> v & 1) << k
                             for v, m in enumerate(masks)) + (nb,)
-                nxt.setdefault(_canonical_bits(new, k + 1), new)
+                labels = _labels(new)
+                bucket = kept.setdefault(tuple(sorted(labels)), [])
+                if not any(_isomorphic(new, labels, old, old_labels)
+                           for old, old_labels in bucket):
+                    bucket.append((new, labels))
+                    nxt.append(new)
         yield nxt
         level = nxt
         k += 1
@@ -235,15 +290,15 @@ def _levels(n: int) -> Iterator[dict[int, tuple[int, ...]]]:
 
 def search_witnesses(order: int, n: int) -> list[WitnessGraph]:
     """Non-isomorphic triangle-free graphs of given order with no independent
-    n-set, sorted by canonical form, by vertex-by-vertex extension with
-    canonical-form rejection (`_levels`)."""
-    if n < 1:
-        raise RamseyError(f"the search needs n >= 1, got {n}")
-    level: dict[int, tuple[int, ...]] = {0: ()}
+    n-set, sorted by canonical form: the level `_levels` reaches at that
+    order, with one canonical form computed per graph returned."""
+    _check_n(n)
+    level: list[tuple[int, ...]] = [()]
     for level in islice(_levels(n), order):
         pass
-    return [_graph_from_masks(order, level[key])
-            for key in sorted(level)]
+    return [_graph_from_masks(order, masks)
+            for masks in sorted(level,
+                                key=lambda m: _canonical_bits(m, order))]
 
 
 def _graph_from_masks(order: int, masks) -> WitnessGraph:
@@ -284,15 +339,17 @@ def brute_force_ramsey(n: int) -> RamseyRecord:
     order are the triangle-free graphs with independence number < n, so the
     first empty order is the value, and the survivor with the least
     canonical form one order below is the extremal witness returned (the
-    first graph `search_witnesses` lists for that order).
+    first graph `search_witnesses` lists for that order).  Canonical forms
+    are computed for that last nonempty level only.
     """
     if n not in (2, 3, 4):
         raise RamseyError(f"exact search supports n in 2..4, got {n}")
-    previous: dict[int, tuple[int, ...]] = {}
+    previous: list[tuple[int, ...]] = []
     for order, level in enumerate(_levels(n), start=1):
         if not level:
             return RamseyRecord(n, order, _graph_from_masks(
-                order - 1, previous[min(previous)]), "computed")
+                order - 1, min(previous, key=lambda m: _canonical_bits(
+                    m, order - 1))), "computed")
         previous = level
     raise AssertionError("unreachable: the search ends on an empty level")
 
@@ -454,10 +511,12 @@ def witness_from_json(text: str) -> RamseyRecord:
     try:
         doc = json.loads(text)
         g = witness_graph_from_doc(doc)
-        rec = RamseyRecord(_json_int(doc["n"], "n"), g.order + 1, g,
-                           "user-file")
+        n = _json_int(doc["n"], "n")
+        _check_n(n)
+        rec = RamseyRecord(n, g.order + 1, g, "user-file")
     except (KeyError, TypeError, json.JSONDecodeError, RamseyError) as exc:
-        # RamseyError: the graph's own refusal of an edge or the order
+        # RamseyError: the graph's own refusal of an edge or the order,
+        # or an n below 1
         raise RamseyError(f"malformed witness file: {exc!r}") from exc
     if not rec.report.ok:
         raise RamseyError(f"witness file fails verification: {rec.report}")

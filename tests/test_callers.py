@@ -20,8 +20,9 @@ MODULES = sorted((ROOT / "src" / "orw").glob("*.py"))
 SCANNED = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 TEST_FACING = {
-    "canonical_form": "criterion 2: the form the isomorph-free search keeps "
-                      "one graph per, and that its survivor pins hash",
+    "canonical_form": "criterion 2: the form the isomorph-free search "
+                      "orders its survivors by, and that its survivor pins "
+                      "hash",
     "assignment_from_coloring": "criterion 5: every catalogue clause holds "
                                 "on the construction's own color tables",
 }

@@ -213,6 +213,27 @@ class TestLower:
         r = invoke(runner, ["lower", "verify", "-n", "2"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("n", ["2", "-1"])
+    def test_small_n_refused_before_gamma(self, runner, tmp_path, n):
+        # refused by name before the space w^2*n+... is built, whose
+        # parser would otherwise refuse "(w^2)*-1"
+        wit = tmp_path / "w.json"
+        wit.write_text(witness_to_json(builtin_record(3)))
+        r = invoke(runner, ["lower", "verify", "-n", n, "--witness",
+                            str(wit)])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == f"error: construction needs n >= 3, got {n}\n"
+
+    def test_witness_n_below_1_is_malformed(self, runner, tmp_path):
+        wit = tmp_path / "w.json"
+        doc = json.loads(witness_to_json(builtin_record(3)))
+        wit.write_text(json.dumps(dict(doc, n=-1)))
+        r = invoke(runner, ["lower", "verify", "-n", "3", "--witness",
+                            str(wit)])
+        assert r.exit_code == 2
+        assert r.stderr == ("error: malformed witness file: RamseyError("
+                            "'the search needs n >= 1, got -1')\n")
+
 
 class TestUpper:
     def test_replay_square(self, runner):
@@ -375,6 +396,17 @@ class TestRamsey:
                             str(p)])
         assert r.exit_code == 1
         assert "triangle" in r.output
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_verify_n_below_1_is_input_error(self, runner, tmp_path, n):
+        # an input error, not a verdict: with -1 every triangle-free graph
+        # would read "ok", with 0 none would
+        p = tmp_path / "w3.json"
+        p.write_text(witness_to_json(builtin_record(3)))
+        r = invoke(runner, ["ramsey", "verify", "-n", n, "--witness",
+                            str(p), "--json"])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == f"error: the search needs n >= 1, got {n}\n"
 
     def test_verify_malformed_is_input_error(self, runner, tmp_path):
         p = tmp_path / "junk.json"

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import orw.ramsey
 from oracles import canonical_form_oracle
 from orw.ordinals import SizeLimitError
 from orw.ramsey import (
@@ -95,6 +96,14 @@ class TestVerifyWitness:
         s = rep.independent_set
         assert len(s) == 3 and len(set(s)) == 3
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_1_refused(self, n):
+        # refused, not answered: with -1 every triangle-free graph would
+        # pass, with 0 none would
+        with pytest.raises(RamseyError,
+                           match=f"^the search needs n >= 1, got {n}$"):
+            verify_witness(circulant(5, (1,)), n)
+
     def test_reported_triangle_is_real(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -143,6 +152,102 @@ class TestCanonicalForm:
             for g in search_witnesses(order, 3):
                 assert canonical_form(g) == \
                     canonical_form_oracle(order, g.edges), g
+
+
+def _random_graph(rng, order):
+    density = rng.choice((0.2, 0.4, 0.5, 0.6, 0.8))
+    return WitnessGraph.from_pairs(
+        order, [p for p in combinations(range(order), 2)
+                if rng.random() < density])
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _flipped(rng, g):
+    """g with one random vertex pair toggled."""
+    pair = tuple(sorted(rng.sample(range(g.order), 2)))
+    return WitnessGraph(g.order, g.edges ^ {pair})
+
+
+def _switched(rng, g):
+    """g with edges ab, cd replaced by ac, bd where those are non-edges, a
+    move that keeps every degree; g itself when no tried move applies."""
+    edges = sorted(g.edges)
+    for _ in range(10):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not (g.has_edge(a, c)
+                                           or g.has_edge(b, d)):
+            return WitnessGraph.from_pairs(g.order, (
+                g.edges - {(a, b), (c, d)}) | {(a, c), (b, d)})
+    return g
+
+
+class TestIsomorphic:
+    """The search's duplicate test: equal sorted labels and a
+    label-preserving isomorphism, against the brute-force canonical form."""
+
+    # pairs of one order with equal vertex labels that are not isomorphic
+    HARD = [
+        (circulant(6, (1,)), WitnessGraph.from_pairs(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        (circulant(6, (1, 3)), WitnessGraph.from_pairs(  # K3,3 and the prism
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                (0, 3), (1, 4), (2, 5)])),
+        (circulant(7, (1,)), WitnessGraph.from_pairs(
+            7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])),
+    ]
+
+    @staticmethod
+    def labels(g):
+        return sorted(orw.ramsey._labels(g.adjacency_masks()))
+
+    @staticmethod
+    def same_class(g, h):
+        a, b = g.adjacency_masks(), h.adjacency_masks()
+        la, lb = orw.ramsey._labels(a), orw.ramsey._labels(b)
+        return (sorted(la) == sorted(lb)
+                and orw.ramsey._isomorphic(a, la, b, lb))
+
+    def test_agrees_with_the_oracle(self):
+        # per order, random graphs with a relabeling, a relabeling with one
+        # pair toggled and one with two edges switched (degrees kept), each
+        # graph's oracle form computed once; every pair of one order is
+        # compared
+        rng = random.Random(2014)
+        pairs = isomorphic = hard = 0
+        for order in range(8):
+            pool = []
+            for _ in range(8):
+                g = _random_graph(rng, order)
+                pool += [g, _shuffled(rng, g)]
+                if order >= 2:
+                    pool += [_flipped(rng, _shuffled(rng, g)),
+                             _switched(rng, _shuffled(rng, g))]
+            pool += [_shuffled(rng, g) for pair in self.HARD for g in pair
+                     if g.order == order]
+            forms = [canonical_form_oracle(order, g.edges) for g in pool]
+            for i, j in combinations(range(len(pool)), 2):
+                same = self.same_class(pool[i], pool[j])
+                assert same == (forms[i] == forms[j]), (pool[i], pool[j])
+                pairs += 1
+                isomorphic += same
+                hard += not same and self.labels(pool[i]) == \
+                    self.labels(pool[j])
+        # fixed by the seed and the oracle alone
+        assert (pairs, isomorphic) == (3415, 794)
+        assert hard >= len(self.HARD)  # the backtracking's refusal is run
+
+    @pytest.mark.parametrize("g,h", HARD)
+    def test_equal_labels_not_isomorphic(self, g, h):
+        assert self.labels(g) == self.labels(h)
+        assert not self.same_class(g, h)
+        assert self.same_class(g, _shuffled(random.Random(1), g))
 
 
 # (n, order) -> (survivor count, sha256 of the repr of their canonical forms,
@@ -205,6 +310,18 @@ class TestSearch:
             assert _sha([canonical_form(g) for g in found]) == forms, order
             assert _sha([sorted(g.edges) for g in found]) == graphs, order
 
+    def test_r53_is_14_by_the_search(self):
+        # survivors per order 1..14; the one order-13 survivor is the
+        # circulant witness
+        t0 = time.perf_counter()
+        levels = list(orw.ramsey._levels(5))
+        assert time.perf_counter() - t0 < 10.0
+        assert [len(level) for level in levels] == [
+            1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1, 0]
+        (last,) = levels[12]
+        assert canonical_form(orw.ramsey._graph_from_masks(13, last)) == \
+            canonical_form(circulant(13, (1, 5)))
+
     def test_empty_order_and_small_n(self):
         assert search_witnesses(0, 3) == [WitnessGraph(0, frozenset())]
         # every vertex is an independent 1-set
@@ -235,6 +352,32 @@ class TestBruteForce:
     def test_rejects_out_of_range(self):
         with pytest.raises(RamseyError):
             brute_force_ramsey(5)
+
+
+class TestWork:
+    """Canonical forms are computed for the graphs an answer is drawn from,
+    not for every extension the search makes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        bits = orw.ramsey._canonical_bits
+
+        def counted(masks, order):
+            made.append(order)
+            return bits(masks, order)
+
+        monkeypatch.setattr(orw.ramsey, "_canonical_bits", counted)
+        return made
+
+    def test_brute_ranks_the_last_level_only(self, calls):
+        assert brute_force_ramsey(4).value == 9
+        assert calls == [8, 8, 8]  # the order-8 survivors, not 221 extensions
+
+    @pytest.mark.parametrize("n,order", [(3, 5), (4, 6), (4, 9), (3, 0)])
+    def test_search_ranks_what_it_returns(self, calls, n, order):
+        found = search_witnesses(order, n)
+        assert calls == [order] * len(found)
 
 
 class TestBuiltins:
@@ -328,6 +471,14 @@ class TestWitnessJson:
     def test_rejects_malformed(self):
         with pytest.raises(RamseyError):
             witness_from_json(json.dumps({"order": 5, "edges": []}))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_1_is_malformed(self, n):
+        doc = json.loads(witness_to_json(builtin_record(3)))
+        with pytest.raises(RamseyError, match=(
+                r"^malformed witness file: RamseyError\('the search needs "
+                f"n >= 1, got {n}'\\)$")):
+            witness_from_json(json.dumps(dict(doc, n=n)))
 
     def test_order_above_the_limit_refused_unbuilt(self):
         # 10^9 adjacency masks would take about 8 GB; the order is read
