@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,11 +75,6 @@ def _guarded(fn):
             raise SystemExit(2)
 
     return wrapper
-
-
-def _table_from(path: Optional[str]) -> dict[int, TableEntry]:
-    """Value table from --table, else $ORW_TABLE, else packaged defaults."""
-    return load_ramsey_table(path or os.environ.get("ORW_TABLE") or None)
 
 
 def _read(path: str) -> str:
@@ -184,7 +178,7 @@ def cmd_bounds(nmax: int, table_path: Optional[str], as_json: bool) -> None:
     """Tabulate lower/upper bounds and compare the two upper routes."""
     if nmax < 3:
         raise OrdinalError(f"--nmax must be at least 3, got {nmax}")
-    rows = bounds_rows(nmax, _table_from(table_path))
+    rows = bounds_rows(nmax, load_ramsey_table(table_path))
     if as_json:
         _emit({"nmax": nmax, "rows": [{
             "n": r.n,
@@ -227,17 +221,15 @@ def lower() -> None:
 @click.option("-n", "n", type=int, required=True)
 @click.option("--witness", "witness_path", type=click.Path(exists=True),
               default=None, help="Witness graph JSON (defaults to builtin).")
-@click.option("--control/--no-control", default=True, show_default=True,
-              help="Also demand a certificate at the weakened target.")
 @click.option("--dot", "dot_path", type=click.Path(), default=None,
               help="Also write the construction graph in DOT form.")
 @click.option("--json", "as_json", is_flag=True)
 @_guarded
-def cmd_lower_verify(n: int, witness_path: Optional[str], control: bool,
+def cmd_lower_verify(n: int, witness_path: Optional[str],
                      dot_path: Optional[str], as_json: bool) -> None:
     """Build the coloring and check it avoids both homogeneous targets."""
     rec = witness_from_json(_read(witness_path)) if witness_path else None
-    report = verify_lower_bound(n, rec=rec, control=control)
+    report = verify_lower_bound(n, rec=rec)
     if dot_path:
         with open(dot_path, "w") as fh:
             fh.write(export_dot(report.graph))
@@ -269,9 +261,6 @@ def _mode_of(k_choice: str) -> str:
 @click.option("-n", "n", type=int, required=True)
 @click.option("--k", "k_choice", type=click.Choice(["ramsey", "square"]),
               required=True, help="Which K the limit rows get.")
-@click.option("--witness", "witness_path", type=click.Path(exists=True),
-              default=None,
-              help="Witness fixing R(2n-3,3) (ramsey mode only).")
 @click.option("--budget", type=int, default=10_000_000, show_default=True,
               help="Decision-node budget for the search.")
 @click.option("--drop", "dropped", multiple=True, metavar="SCHEMA",
@@ -280,13 +269,12 @@ def _mode_of(k_choice: str) -> str:
               default=None)
 @click.option("--json", "as_json", is_flag=True)
 @_guarded
-def cmd_upper_replay(n: int, k_choice: str, witness_path: Optional[str],
-                     budget: int, dropped: tuple[str, ...],
-                     table_path: Optional[str], as_json: bool) -> None:
+def cmd_upper_replay(n: int, k_choice: str, budget: int,
+                     dropped: tuple[str, ...], table_path: Optional[str],
+                     as_json: bool) -> None:
     """Decide the catalogue; UNSAT with a verified trace replays the bound."""
-    rec = witness_from_json(_read(witness_path)) if witness_path else None
-    rep = replay_theorem(n, _mode_of(k_choice), rec=rec, budget=budget,
-                         drop=dropped, table=_table_from(table_path))
+    rep = replay_theorem(n, _mode_of(k_choice), budget=budget, drop=dropped,
+                         table=load_ramsey_table(table_path))
     if as_json:
         _echo(rep.to_json())
     else:
@@ -312,18 +300,14 @@ def cmd_upper_replay(n: int, k_choice: str, witness_path: Optional[str],
               required=True)
 @click.option("-o", "out_base", type=click.Path(), required=True,
               help="Output basename; writes BASE.cnf and BASE.json.")
-@click.option("--witness", "witness_path", type=click.Path(exists=True),
-              default=None)
 @click.option("--table", "table_path", type=click.Path(exists=True),
               default=None)
 @_guarded
 def cmd_upper_export(n: int, k_choice: str, out_base: str,
-                     witness_path: Optional[str],
                      table_path: Optional[str]) -> None:
     """Write the clause system as DIMACS CNF plus a variable/tag sidecar."""
-    rec = witness_from_json(_read(witness_path)) if witness_path else None
-    k, _ = resolve_k(n, _mode_of(k_choice), rec=rec,
-                     table=_table_from(table_path))
+    k, _ = resolve_k(n, _mode_of(k_choice),
+                     table=load_ramsey_table(table_path))
     system = instantiate_clauses(n, k)
     with open(out_base + ".cnf", "w") as fh:
         fh.write(system.to_dimacs())
@@ -350,7 +334,7 @@ def ramsey() -> None:
 def cmd_ramsey_value(n: int, table_path: Optional[str],
                      as_json: bool) -> None:
     """Look up R(n,3) with its provenance."""
-    entry = ramsey_value(n, _table_from(table_path))
+    entry = ramsey_value(n, load_ramsey_table(table_path))
     if as_json:
         _emit({"n": n, "value": entry.value, "source": entry.source})
     else:

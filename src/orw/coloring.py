@@ -120,9 +120,9 @@ class QuotientColoring:
     overrides: Mapping[PointPair, Color]
 
     @classmethod
-    def build(cls, gamma, within=None, cross=None, overrides=None,
-              default: Color = RED) -> "QuotientColoring":
-        """Normalize and complete the tables; unspecified colors = `default`.
+    def build(cls, gamma, within=None, cross=None,
+              overrides=None) -> "QuotientColoring":
+        """Normalize and complete the tables; unspecified colors are RED.
 
         `within` maps class ids to colors, `cross` class pairs (either
         order) and `overrides` point pairs.  Every value is read here, with
@@ -147,9 +147,9 @@ class QuotientColoring:
         for k in w_in:
             if k not in own:
                 raise OrdinalError(f"within references invalid class {k}")
-        w = {cid: w_in.get(cid, default) for cid in classes}
+        w = {cid: w_in.get(cid, RED) for cid in classes}
 
-        x = dict.fromkeys(combinations(classes, 2), default)  # low-first
+        x = dict.fromkeys(combinations(classes, 2), RED)  # low-first
         given: set[ClassPair] = set()
         for k, col in (cross or {}).items():
             a, b = _as_class(k[0]), _as_class(k[1])

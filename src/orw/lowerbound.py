@@ -204,14 +204,14 @@ class LowerBoundReport:
         }, indent=2)
 
 
-def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
-                       control: bool = True) -> LowerBoundReport:
+def verify_lower_bound(n: int,
+                       rec: Optional[RamseyRecord] = None) -> LowerBoundReport:
     """Full pipeline: build, check triangle-freeness, run both deciders.
 
     Passing certifies that the induced coloring of w^2*n + w*(R(n,3)-n) +
-    (n-1) has no blue triangle and no red closed copy of omega+n.  With
-    `control`, additionally demands that weakening the target to omega+(n-1)
-    does produce a certificate, guarding against a vacuous pass.
+    (n-1) has no blue triangle and no red closed copy of omega+n.  It also
+    demands that weakening the target to omega+(n-1) does produce a
+    certificate, guarding against a vacuous pass.
     """
     if n < 3:
         raise OrdinalError(f"construction needs n >= 3, got {n}")
@@ -241,7 +241,7 @@ def verify_lower_bound(n: int, rec: Optional[RamseyRecord] = None,
         red = decide_red_closed_omega_plus_n(coloring, n)
         ok = stage("no-red-omega-plus-n", red is None,
                    None if red is None else certificate_to_json(red))
-    if ok and control:
+    if ok:
         ctrl = decide_red_closed_omega_plus_n(coloring, n - 1)
         ok = stage("red-control-at-n-minus-1", ctrl is not None,
                    None if ctrl is None else certificate_to_json(ctrl))

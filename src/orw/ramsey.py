@@ -311,8 +311,10 @@ def _graph_from_masks(order: int, masks) -> WitnessGraph:
 class RamseyRecord:
     """An R(n,3) value with its certifying witness and provenance.
 
-    The witness is verified once per record, on the first read of
-    `report`, and every later check reads that report."""
+    A "user-file" record's value is its witness's order + 1, which is only
+    a lower bound on R(n,3): a witness shows R(n,3) > order, no more.  The
+    witness is verified once per record, on the first read of `report`,
+    and every later check reads that report."""
 
     n: int
     value: int

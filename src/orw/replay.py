@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .coloring import QuotientColoring
 from .ordinals import NodeClassId, Ordinal, OrdinalError, valid_classes
-from .ramsey import RamseyRecord, TableEntry, ramsey_value
+from .ramsey import TableEntry, ramsey_value
 from .solver import check_trace, solve
 
 __all__ = [
@@ -224,6 +224,8 @@ def _check_request(n: int, k: int, drop: tuple[str, ...]) -> None:
     for s in drop:
         if s not in SCHEMAS:
             raise OrdinalError(f"unknown schema {s!r}")
+        if drop.count(s) > 1:
+            raise OrdinalError(f"schema {s!r} dropped twice")
 
 
 def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
@@ -495,31 +497,25 @@ class ReplayReport:
         return json.dumps(doc, indent=2)
 
 
-def resolve_k(n: int, mode: str, rec: Optional[RamseyRecord] = None,
+def resolve_k(n: int, mode: str,
               table: Optional[dict[int, TableEntry]] = None,
               ) -> tuple[int, Optional[TableEntry]]:
     """The limit-row budget K for a mode, with the Ramsey value it used.
 
-    mode "ramsey-K" gives K = R(2n-3,3)+1 (from `rec` if supplied, else the
-    value table); mode "square-K" gives K = n^2-4 and uses no Ramsey value.
+    mode "ramsey-K" gives K = R(2n-3,3)+1, the value read from the table; a
+    witness graph cannot supply it, since it only bounds R(2n-3,3) below.
+    mode "square-K" gives K = n^2-4 and uses no Ramsey value.
     """
     if mode == "ramsey-K":
-        m = 2 * n - 3
-        if rec is not None:
-            if rec.n != m:
-                raise OrdinalError(
-                    f"record is for R({rec.n},3); mode needs R({m},3)")
-            used = TableEntry(rec.value, rec.source)
-        else:
-            used = ramsey_value(m, table)
+        used = ramsey_value(2 * n - 3, table)
         return used.value + 1, used
     if mode == "square-K":
         return n * n - 4, None
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def replay_theorem(n: int, mode: str, rec: Optional[RamseyRecord] = None,
-                   budget: int = 10_000_000, drop: tuple[str, ...] = (),
+def replay_theorem(n: int, mode: str, budget: int = 10_000_000,
+                   drop: tuple[str, ...] = (),
                    table: Optional[dict[int, TableEntry]] = None,
                    ) -> ReplayReport:
     """Instantiate the catalogue at the bound-specific K and decide it.
@@ -533,7 +529,7 @@ def replay_theorem(n: int, mode: str, rec: Optional[RamseyRecord] = None,
     Only the core clauses, the space and the schema counts are kept
     through the solve and the check; the catalogue's tags are dropped.
     """
-    k, used = resolve_k(n, mode, rec=rec, table=table)
+    k, used = resolve_k(n, mode, table=table)
     full = instantiate_clauses(n, k, drop=drop)
     space, schema_counts = full.space, full.schema_counts()
     clauses = full.select(include_redundant=False).clauses

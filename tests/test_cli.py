@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from orw.coloring import (
     coloring_to_json,
     decide_red_closed_omega_plus_n,
 )
-from orw.ordinals import NodeClassId, parse
+from orw.ordinals import NodeClassId, parse, valid_classes
 from orw.ramsey import builtin_record, witness_to_json
 
 
@@ -83,16 +84,6 @@ class TestBounds:
         assert r.exit_code == 2
         assert "lower bound" in r.output
 
-    def test_env_var_table(self, runner, tmp_path):
-        p = tmp_path / "t.json"
-        p.write_text(json.dumps({"values": {"2": 3, "3": 6}}))
-        r = invoke(runner, ["bounds", "--nmax", "3", "--json"],
-                   env={"ORW_TABLE": str(p)})
-        assert r.exit_code == 0
-        doc = json.loads(r.output)
-        assert doc["rows"][0]["ramsey_values_used"]["R(3,3)"][
-            "source"] == "external"
-
     @pytest.mark.parametrize("value", ["6.5", "true", "Infinity", '"6"',
                                        '{"value": 6.0, "source": "x"}'])
     def test_inexact_table_value_refused(self, runner, tmp_path, value):
@@ -150,11 +141,6 @@ class TestLower:
         doc = json.loads(r.output)
         assert doc["passed"] is True
         assert doc["gamma"] == "w^2*3+w*3+2"
-
-    def test_no_control_skips_stage(self, runner):
-        r = invoke(runner, ["lower", "verify", "-n", "3", "--no-control"])
-        assert r.exit_code == 0
-        assert "red-control-at-n-minus-1" not in r.output
 
     def test_witness_file_and_dot(self, runner, tmp_path):
         wit = tmp_path / "w.json"
@@ -275,6 +261,13 @@ class TestUpper:
                             "--drop", "C99"])
         assert r.exit_code == 2
 
+    def test_drop_twice_refused(self, runner):
+        # refused by name, not replayed with the schema listed twice
+        r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
+                            "--drop", "C8", "--drop", "C8", "--json"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == "error: schema 'C8' dropped twice\n"
+
     @pytest.mark.parametrize("args", [
         ["replay", "-n", "7", "--k", "square"],
         ["export", "-n", "6", "--k", "square", "-o", "never-written"],
@@ -331,15 +324,6 @@ class TestUpper:
         assert r.exit_code == 2
         assert "budget" in r.output
 
-    def test_witness_fixes_k(self, runner, tmp_path):
-        wit = tmp_path / "w.json"
-        wit.write_text(witness_to_json(builtin_record(3)))
-        r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "ramsey",
-                            "--witness", str(wit), "--json"])
-        doc = json.loads(r.output)
-        assert doc["k"] == 7
-        assert doc["ramsey_used"]["source"] == "user-file"
-
     def test_export_writes_pair(self, runner, tmp_path):
         base = tmp_path / "sys"
         r = invoke(runner, ["upper", "export", "-n", "3", "--k", "ramsey",
@@ -349,6 +333,69 @@ class TestUpper:
         assert cnf[1] == "p cnf 243 2409"
         side = json.loads((tmp_path / "sys.json").read_text())
         assert len(side["clauses"]) == 2409
+
+
+class TestSurface:
+    """The CLI's inputs: every parameter pinned, the removed ones refused."""
+
+    @staticmethod
+    def _params(cmd, path=()):
+        """{command path: parameter names}, for each command with any."""
+        out = {}
+        if cmd.params:
+            out[" ".join(path)] = [p.name for p in cmd.params]
+        for name, sub in getattr(cmd, "commands", {}).items():
+            out.update(TestSurface._params(sub, path + (name,)))
+        return out
+
+    def test_parameter_names_are_pinned(self):
+        # a knob added or removed must edit this table
+        assert self._params(main) == {
+            "bounds": ["nmax", "table_path", "as_json"],
+            "lower verify": ["n", "witness_path", "dot_path", "as_json"],
+            "upper replay": ["n", "k_choice", "budget", "dropped",
+                             "table_path", "as_json"],
+            "upper export": ["n", "k_choice", "out_base", "table_path"],
+            "ramsey value": ["n", "table_path", "as_json"],
+            "ramsey brute": ["n", "as_json"],
+            "ramsey verify": ["n", "witness_path", "as_json"],
+            "ramsey export": ["n", "out_path"],
+            "ordinal eval": ["expr", "as_json"],
+            "coloring decide": ["file", "n", "as_json"],
+            "coloring check": ["file", "cert_path", "as_json"],
+        }
+
+    @pytest.mark.parametrize("command", [
+        ["upper", "replay", "-n", "3", "--k", "ramsey"],
+        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
+    ])
+    def test_upper_witness_is_not_an_option(self, runner, tmp_path, command):
+        # a witness bounds R(2n-3,3) below; it cannot set the value K reads
+        wit = tmp_path / "w.json"
+        wit.write_text(witness_to_json(builtin_record(3)))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            r = invoke(runner, command + ["--witness", str(wit)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert "No such option" in r.stderr and "--witness" in r.stderr
+        assert not any(tmp_path.rglob("never-written*"))
+
+    def test_control_is_not_optional(self, runner):
+        r = invoke(runner, ["lower", "verify", "-n", "3", "--no-control"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert "No such option" in r.stderr and "--no-control" in r.stderr
+
+    def test_table_is_not_read_from_the_environment(self, runner, tmp_path):
+        # this table would flag R(3,3) external; only --table reads a file
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"values": {"2": 3, "3": 6}}))
+        args = ["bounds", "--nmax", "3", "--json"]
+        plain = invoke(runner, args)
+        r = invoke(runner, args, env={"ORW_TABLE": str(p)})
+        assert r.exit_code == plain.exit_code == 0
+        assert r.stdout == plain.stdout
+        flagged = invoke(runner, args + ["--table", str(p)])
+        assert flagged.exit_code == 0 and '"external"' in flagged.stdout
+        assert '"external"' not in plain.stdout
 
 
 class TestRamsey:
@@ -457,8 +504,6 @@ class TestRamsey:
     @pytest.mark.parametrize("command", [
         ["ramsey", "verify", "-n", "3"],
         ["lower", "verify", "-n", "3"],
-        ["upper", "replay", "-n", "3", "--k", "ramsey"],
-        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
     ])
     def test_witness_order_over_the_limit_refused(self, runner, tmp_path,
                                                   command):
@@ -481,8 +526,6 @@ class TestRamsey:
     @pytest.mark.parametrize("command", [
         ["ramsey", "verify", "-n", "3"],
         ["lower", "verify", "-n", "3"],
-        ["upper", "replay", "-n", "3", "--k", "ramsey"],
-        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
     ])
     def test_graph_refusals_are_one_message(self, runner, tmp_path, command,
                                             edges, why):
@@ -511,8 +554,6 @@ class TestRamsey:
     @pytest.mark.parametrize("command", [
         ["ramsey", "verify", "-n", "3"],
         ["lower", "verify", "-n", "3"],
-        ["upper", "replay", "-n", "3", "--k", "ramsey"],
-        ["upper", "export", "-n", "3", "--k", "ramsey", "-o", "never-written"],
     ])
     def test_witness_shape_refused_by_name(self, runner, tmp_path, command,
                                            doc, why):
@@ -739,8 +780,12 @@ NOT_AN_OBJECT_REFUSALS = [
 class TestColoring:
     @pytest.fixture
     def files(self, tmp_path):
-        red = QuotientColoring.build(parse("w^2*2+1"), default=0)
-        blue = QuotientColoring.build(parse("w^2*2+1"), default=1)
+        gamma = parse("w^2*2+1")
+        classes = valid_classes(gamma)
+        red = QuotientColoring.build(gamma)
+        blue = QuotientColoring.build(
+            gamma, within=dict.fromkeys(classes, 1),
+            cross=dict.fromkeys(combinations(classes, 2), 1))
         paths = {}
         for name, c in [("red", red), ("blue", blue)]:
             p = tmp_path / f"{name}.json"

@@ -66,6 +66,14 @@ def witness_coloring_3() -> QuotientColoring:
     return QuotientColoring.build("w^2*3+w*3+2", cross={p: 1 for p in blue})
 
 
+def all_blue(gamma: str) -> QuotientColoring:
+    """Every pair of gamma blue, given as explicit class tables."""
+    classes = valid_classes(o(gamma))
+    return QuotientColoring.build(
+        gamma, within=dict.fromkeys(classes, BLUE),
+        cross=dict.fromkeys(combinations(classes, 2), BLUE))
+
+
 def random_coloring(rng: random.Random, gamma, blue_bias=0.5,
                     max_overrides=3) -> QuotientColoring:
     g = o(gamma) if isinstance(gamma, str) else gamma
@@ -121,7 +129,7 @@ class TestBuildAndColorOf:
             assert color_of(c, a, b) in (0, 1)
 
     def test_errors(self):
-        c = QuotientColoring.build("w", default=RED)
+        c = QuotientColoring.build("w")
         with pytest.raises(OrdinalError):
             color_of(c, 1, 1)
         with pytest.raises(OrdinalError):
@@ -218,10 +226,10 @@ class TestDecideBlue:
 
     def test_all_blue_triangle(self):
         cert = decide_blue_closed_3(
-            QuotientColoring.build("w^2", default=BLUE))
+            all_blue("w^2"))
         assert cert.triangle == (o("0"), o("1"), o("2"))
         assert check_certificate(
-            QuotientColoring.build("w^2", default=BLUE), cert)
+            all_blue("w^2"), cert)
 
     def test_three_classes_pairwise_blue(self):
         c = QuotientColoring.build(
@@ -248,8 +256,8 @@ class TestDecideBlue:
 
     def test_too_few_points(self):
         assert decide_blue_closed_3(
-            QuotientColoring.build("2", default=BLUE)) is None
-        cert = decide_blue_closed_3(QuotientColoring.build("3", default=BLUE))
+            all_blue("2")) is None
+        cert = decide_blue_closed_3(all_blue("3"))
         assert cert.triangle == (o("0"), o("1"), o("2"))
 
     def test_against_sampling_oracle(self):
@@ -285,7 +293,7 @@ class TestDecideBlue:
 
 class TestDecideRed:
     def test_whole_space_all_red(self):
-        c = QuotientColoring.build("w+3", default=RED)
+        c = QuotientColoring.build("w+3")
         cert = decide_red_closed_omega_plus_n(c, 3)
         assert cert.tail_class == NodeClassId(1, 0)
         assert cert.limit_point == o("w")
@@ -370,7 +378,7 @@ class TestDecideRed:
 
 class TestCheckCertificate:
     def test_top_below_limit_rejected(self):
-        c = QuotientColoring.build("w*2+2", default=RED)
+        c = QuotientColoring.build("w*2+2")
         cert = CopyCertificate(
             kind="red-omega-plus-n", tail_class=NodeClassId(1, 0),
             limit_point=o("w*2"), top_points=(o("w"),))
@@ -385,7 +393,7 @@ class TestCheckCertificate:
         assert not check_certificate(c, cert)
 
     def test_non_accumulating_tail_rejected(self):
-        c = QuotientColoring.build("w^2+w+1", default=RED)
+        c = QuotientColoring.build("w^2+w+1")
         cert = CopyCertificate(
             kind="red-omega-plus-n", tail_class=NodeClassId(2, 0),
             limit_point=o("w^2"), top_points=())
@@ -427,7 +435,7 @@ class TestCheckCertificate:
         assert check_certificate(c, cert)
 
     def test_malformed_raises(self):
-        c = QuotientColoring.build("w", default=RED)
+        c = QuotientColoring.build("w")
         with pytest.raises(ValueError):
             check_certificate(c, CopyCertificate(kind="mystery"))
         with pytest.raises(ValueError):

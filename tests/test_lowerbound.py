@@ -240,10 +240,6 @@ class TestVerifyPipeline:
         # weakened target omega+2: the limit point plus a single top above it
         assert len(doc["top_points"]) == 1
 
-    def test_control_can_be_skipped(self):
-        rep = verify_lower_bound(3, control=False)
-        assert rep.passed and len(rep.stages) == 4
-
     def test_report_json(self):
         rep = verify_lower_bound(3)
         doc = json.loads(rep.to_json())

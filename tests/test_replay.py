@@ -550,6 +550,8 @@ class TestInstantiation:
         assert "C8" not in sys_.schema_counts()
         with pytest.raises(ValueError):
             instantiate_clauses(3, 5, drop=("C99",))
+        with pytest.raises(OrdinalError, match="schema 'C8' dropped twice"):
+            instantiate_clauses(3, 5, drop=("C8", "C8"))
 
     @pytest.mark.parametrize("n,k", [(3, 3), (3, 5), (3, 7), (4, 6), (4, 7),
                                      (4, 12), (5, 10)])
@@ -625,12 +627,6 @@ class TestReplay:
         assert rep.ramsey_used.value == 6
         assert rep.ramsey_used.source == "computed"
         assert replay_theorem(3, "square-K").ramsey_used is None
-
-    def test_record_override(self):
-        rep = replay_theorem(3, "ramsey-K", rec=builtin_record(3))
-        assert rep.k == 7 and rep.status == "unsat"
-        with pytest.raises(OrdinalError):
-            replay_theorem(3, "ramsey-K", rec=builtin_record(4))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
