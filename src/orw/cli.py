@@ -35,7 +35,6 @@ from .ramsey import (
     ramsey_value,
     verify_witness,
     witness_from_json,
-    witness_graph_from_doc,
     witness_to_json,
 )
 from .replay import instantiate_clauses, replay_theorem, resolve_k
@@ -43,7 +42,7 @@ from .solver import BudgetExceeded
 
 __all__ = ["main", "BoundsRow", "bounds_rows"]
 
-_ERRORS = (OrdinalError, RamseyError, OSError, json.JSONDecodeError)
+_ERRORS = (OrdinalError, RamseyError, OSError, BudgetExceeded)
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -66,10 +65,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except BudgetExceeded as exc:
-            _echo(f"error: node budget exhausted after {exc.nodes} "
-                  "decisions", err=True)
-            raise SystemExit(2)
         except _ERRORS as exc:
             _echo(f"error: {exc}", err=True)
             raise SystemExit(2)
@@ -77,16 +72,12 @@ def _guarded(fn):
     return wrapper
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
 def _load(path: str, reader, what: str):
     """`reader` applied to the file's text; whatever it refuses, except for
     size, makes the file a malformed `what` file."""
     try:
-        return reader(_read(path))
+        with open(path) as fh:
+            return reader(fh.read())
     except SizeLimitError:
         raise  # well-formed, refused for its size: its own message says so
     except (KeyError, TypeError, ValueError) as exc:
@@ -228,7 +219,10 @@ def lower() -> None:
 def cmd_lower_verify(n: int, witness_path: Optional[str],
                      dot_path: Optional[str], as_json: bool) -> None:
     """Build the coloring and check it avoids both homogeneous targets."""
-    rec = witness_from_json(_read(witness_path)) if witness_path else None
+    rec = (_load(witness_path, witness_from_json, "witness")
+           if witness_path else None)
+    if rec and not rec.report.ok:
+        raise RamseyError(f"witness file fails verification: {rec.report}")
     report = verify_lower_bound(n, rec=rec)
     if dot_path:
         with open(dot_path, "w") as fh:
@@ -364,8 +358,7 @@ def cmd_ramsey_brute(n: int, as_json: bool) -> None:
 @_guarded
 def cmd_ramsey_verify(n: int, witness_path: str, as_json: bool) -> None:
     """Check a witness file: triangle-free, no independent set of size n."""
-    g = _load(witness_path,
-              lambda text: witness_graph_from_doc(json.loads(text)), "witness")
+    g = _load(witness_path, witness_from_json, "witness").witness
     rep = verify_witness(g, n)
     if as_json:
         _emit({"n": n, "order": g.order, "ok": rep.ok,

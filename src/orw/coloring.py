@@ -31,6 +31,7 @@ from .ordinals import (
     on_approach,
     parse,
     partial_sum,
+    read_json,
     valid_classes,
 )
 
@@ -546,9 +547,10 @@ def coloring_from_json(text: str) -> QuotientColoring:
     """Read a coloring file, refusing contradictions; build reads the values.
 
     Each table is a JSON list of objects.  Two colors for one class, class
-    pair or point pair are refused in either entry order.
+    pair or point pair are refused in either entry order, and so is a key
+    given twice in one object (`read_json`).
     """
-    doc = json.loads(text)
+    doc = read_json(text)
     if type(doc) is not dict:
         raise TypeError("the coloring is not a JSON object")
     gamma = _as_ordinal(doc["gamma"], "gamma")
@@ -580,7 +582,7 @@ def certificate_to_json(cert: CopyCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> CopyCertificate:
-    doc = json.loads(text)
+    doc = read_json(text)
     if type(doc) is not dict:
         raise TypeError("the certificate is not a JSON object")
 

@@ -68,6 +68,11 @@ class VertexClassSpec:
         return self.ramsey.value - self.n
 
 
+def _check_record_n(n: int, rec: RamseyRecord) -> None:
+    if rec.n != n:
+        raise OrdinalError(f"record is for n={rec.n}, wanted {n}")
+
+
 def build_partition(n: int, rec: RamseyRecord) -> VertexClassSpec:
     """Assign every valid class of gamma to a named vertex.
 
@@ -77,8 +82,7 @@ def build_partition(n: int, rec: RamseyRecord) -> VertexClassSpec:
     """
     if n < 3:
         raise OrdinalError(f"construction needs n >= 3, got {n}")
-    if rec.n != n:
-        raise OrdinalError(f"record is for n={rec.n}, wanted {n}")
+    _check_record_n(n, rec)
     if not rec.verified():
         raise RamseyError("record's witness does not verify; refusing to build")
     k = rec.value - n
@@ -217,6 +221,7 @@ def verify_lower_bound(n: int,
         raise OrdinalError(f"construction needs n >= 3, got {n}")
     if rec is None:
         rec = builtin_record(n)
+    _check_record_n(n, rec)  # before relabeling looks for an (n-1)-set
     stages: list[StageResult] = []
 
     def stage(name: str, ok: bool, detail: Optional[str] = None) -> bool:

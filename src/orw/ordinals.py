@@ -11,6 +11,7 @@ the membership test of an approach sequence toward a limit point.
 
 from __future__ import annotations
 
+import json
 from itertools import chain, count
 from typing import Iterator, NamedTuple, Optional
 
@@ -21,6 +22,23 @@ class OrdinalError(ValueError):
 
 class SizeLimitError(OrdinalError):
     """A well-formed input refused for its size, before anything is built."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # name the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {json.dumps(key)} is given twice")
+            seen.add(key)
+    return doc
+
+
+def read_json(text: str):
+    """The one JSON parse of every input file: a key given twice is refused."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 class OrdinalParseError(OrdinalError):

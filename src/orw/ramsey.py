@@ -26,7 +26,7 @@ from importlib import resources
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional
 
-from .ordinals import SizeLimitError
+from .ordinals import SizeLimitError, read_json
 
 __all__ = [
     "WitnessGraph",
@@ -44,7 +44,6 @@ __all__ = [
     "ramsey_value",
     "witness_to_json",
     "witness_from_json",
-    "witness_graph_from_doc",
     "MAX_ORDER",
 ]
 
@@ -318,20 +317,16 @@ class RamseyRecord:
 
     n: int
     value: int
-    witness: Optional[WitnessGraph]
+    witness: WitnessGraph
     source: str  # "builtin" | "computed" | "user-file"
 
     @cached_property
-    def report(self) -> Optional[WitnessReport]:
-        """verify_witness on the witness, or None without one."""
-        if self.witness is None:
-            return None
+    def report(self) -> WitnessReport:
+        """verify_witness on the witness."""
         return verify_witness(self.witness, self.n)
 
     def verified(self) -> bool:
-        return (self.witness is not None
-                and self.witness.order == self.value - 1
-                and self.report.ok)
+        return self.witness.order == self.value - 1 and self.report.ok
 
 
 def brute_force_ramsey(n: int) -> RamseyRecord:
@@ -380,21 +375,22 @@ def builtin_record(n: int) -> RamseyRecord:
 def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
     """Permute the witness so vertices 0..n-2 are pairwise non-adjacent.
 
-    An independent set of that size always exists in a verified witness
-    (otherwise the graph would certify a larger value one step down), so a
-    failed search means the input was never verified.  A vertex
-    permutation keeps "triangle-free with no independent n-set", so the
-    output carries the input's report and is not verified again.
+    An independent set of that size is guaranteed only in an extremal
+    witness, of order R(n,3)-1: without one the graph would show
+    R(n-1,3) > R(n,3)-1.  A smaller verified witness may lack it, and is
+    refused by that size.  A vertex permutation keeps "triangle-free with
+    no independent n-set", so the output carries the input's report and
+    is not verified again.
     """
     g = rec.witness
-    if g is None or not rec.verified():
+    if not rec.verified():
         raise RamseyError("relabeling requires a verified record")
     k = rec.n - 1
     if _prefix_independent(g, k):
         return rec
     ind = _find_independent_set(g, k)
     if ind is None:
-        raise RamseyError("verified witness lost its independent set?")
+        raise RamseyError(f"the witness has no independent set of size {k}")
     perm = [0] * g.order
     rest = [v for v in range(g.order) if v not in set(ind)]
     for pos, v in enumerate(list(ind) + rest):
@@ -420,25 +416,13 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, refusing a key given twice."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):  # name the first key seen twice
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"key {json.dumps(key)} is given twice")
-            seen.add(key)
-    return doc
-
-
 def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
     """The R(n,3) value table: packaged defaults or a user-supplied file.
 
-    Every key must be a decimal integer n >= 1 written without sign, spaces
-    or leading zeros, and given once; every value a JSON integer; every
-    source "computed" or "external".  Anything else is refused as a
-    malformed table, never coerced or rounded.
+    In the object `values`, every key must be a decimal integer n >= 1
+    written without sign, spaces or leading zeros, and given once; every
+    value a JSON integer; every source "computed" or "external".  Anything
+    else is refused as a malformed table, never coerced or rounded.
     """
     if path is None:
         text = resources.files("orw.data").joinpath(
@@ -448,7 +432,11 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
             text = fh.read()
     out = {}
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = read_json(text)
+        if type(doc) is not dict:
+            raise TypeError("the table is not a JSON object")
+        if type(doc["values"]) is not dict:
+            raise TypeError("table field values is not an object")
         for key, entry in doc["values"].items():
             if not (key.isascii() and key.isdigit()
                     and not key.startswith("0")):
@@ -463,7 +451,7 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
                 raise ValueError(f"R({key},3) source {json.dumps(source)} "
                                  "is neither computed nor external")
             out[int(key)] = TableEntry(value, source)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise RamseyError(f"malformed table file: {exc!r}") from exc
     return out
 
@@ -479,8 +467,6 @@ def ramsey_value(n: int, table: Optional[dict[int, TableEntry]] = None) -> Table
 
 
 def witness_to_json(rec: RamseyRecord) -> str:
-    if rec.witness is None:
-        raise RamseyError("record has no witness to serialize")
     return json.dumps({
         "n": rec.n,
         "order": rec.witness.order,
@@ -510,16 +496,10 @@ def witness_graph_from_doc(doc) -> WitnessGraph:
 
 
 def witness_from_json(text: str) -> RamseyRecord:
-    try:
-        doc = json.loads(text)
-        g = witness_graph_from_doc(doc)
-        n = _json_int(doc["n"], "n")
-        _check_n(n)
-        rec = RamseyRecord(n, g.order + 1, g, "user-file")
-    except (KeyError, TypeError, json.JSONDecodeError, RamseyError) as exc:
-        # RamseyError: the graph's own refusal of an edge or the order,
-        # or an n below 1
-        raise RamseyError(f"malformed witness file: {exc!r}") from exc
-    if not rec.report.ok:
-        raise RamseyError(f"witness file fails verification: {rec.report}")
-    return rec
+    """A witness file's graph and n >= 1, unverified: the record's `report`
+    verifies it on first read."""
+    doc = read_json(text)
+    g = witness_graph_from_doc(doc)
+    n = _json_int(doc["n"], "n")
+    _check_n(n)
+    return RamseyRecord(n, g.order + 1, g, "user-file")

@@ -61,10 +61,6 @@ ACTIVITY_LIMIT = 1e100  # past this, every activity is scaled by 1/LIMIT
 class BudgetExceeded(RuntimeError):
     """Raised when the search exceeds its node budget before an answer."""
 
-    def __init__(self, nodes: int):
-        super().__init__(f"node budget exhausted after {nodes} nodes")
-        self.nodes = nodes
-
 
 class StepColumns:
     """The steps of a trace as three `array('i')` columns: `left` cites an
@@ -431,7 +427,8 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             lit = phase[var]
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(nodes)
+            raise BudgetExceeded(
+                f"node budget exhausted after {nodes} decisions")
         trail_lim.append(len(trail))
         set_lit(lit, None)
     return result("sat", {v: value[v] == 1 for v in range(1, num_vars + 1)})

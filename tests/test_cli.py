@@ -128,6 +128,21 @@ class TestBounds:
             assert r.stderr == ("error: malformed table file: "
                                 f"ValueError('{why}')\n")
 
+    @pytest.mark.parametrize("text, why", [
+        ('{"values": []}', "table field values is not an object"),
+        ("[]", "the table is not a JSON object"),
+    ], ids=["values-array", "doc-array"])
+    def test_table_shape_refused_by_name(self, runner, tmp_path, text, why):
+        # not an AttributeError or TypeError from indexing the wrong shape
+        p = tmp_path / "t.json"
+        p.write_text(text)
+        for command in (["ramsey", "value", "-n", "3"],
+                        ["bounds", "--nmax", "3", "--json"]):
+            r = invoke(runner, command + ["--table", str(p)])
+            assert (r.exit_code, r.stdout) == (2, ""), command
+            assert r.stderr == ("error: malformed table file: "
+                                f"TypeError('{why}')\n")
+
 
 class TestLower:
     def test_verify_passes(self, runner):
@@ -195,6 +210,20 @@ class TestLower:
                             str(wit)])
         assert r.exit_code == 2
 
+    def test_failing_witness_message_is_pinned(self, runner, tmp_path):
+        # refused on the record's report, before -n or the record's n is
+        # looked at and before anything is built
+        wit = tmp_path / "w.json"
+        wit.write_text(json.dumps(
+            {"n": 3, "order": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        for n in ("3", "2"):
+            r = invoke(runner, ["lower", "verify", "-n", n, "--witness",
+                                str(wit)])
+            assert (r.exit_code, r.stdout) == (2, "")
+            assert r.stderr == (
+                "error: witness file fails verification: WitnessReport("
+                "ok=False, triangle=(0, 1, 2), independent_set=None)\n")
+
     def test_small_n_is_usage_error(self, runner):
         r = invoke(runner, ["lower", "verify", "-n", "2"])
         assert r.exit_code == 2
@@ -209,6 +238,23 @@ class TestLower:
                             str(wit)])
         assert r.exit_code == 2 and r.stdout == ""
         assert r.stderr == f"error: construction needs n >= 3, got {n}\n"
+
+    @pytest.mark.parametrize("file_n, n, why", [
+        (4, "3", "record is for n=4, wanted 3"),
+        (99, "3", "record is for n=99, wanted 3"),
+        (4, "4", "the witness has no independent set of size 3"),
+    ], ids=["n4-at-3", "n99-at-3", "n4-at-4"])
+    def test_witness_it_cannot_build_from_refused(self, runner, tmp_path,
+                                                  file_n, n, why):
+        # the builtin C5 passes verification at n = 4 and 99, but has no
+        # independent 3-set to put first in the construction
+        wit = tmp_path / "w.json"
+        doc = json.loads(witness_to_json(builtin_record(3)))
+        wit.write_text(json.dumps(dict(doc, n=file_n)))
+        r = invoke(runner, ["lower", "verify", "-n", n, "--witness",
+                            str(wit)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error: {why}\n"
 
     def test_witness_n_below_1_is_malformed(self, runner, tmp_path):
         wit = tmp_path / "w.json"
@@ -324,6 +370,12 @@ class TestUpper:
         assert r.exit_code == 2
         assert "budget" in r.output
 
+    def test_budget_exhaustion_message_is_pinned(self, runner):
+        r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
+                            "--budget", "5"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == "error: node budget exhausted after 6 decisions\n"
+
     def test_export_writes_pair(self, runner, tmp_path):
         base = tmp_path / "sys"
         r = invoke(runner, ["upper", "export", "-n", "3", "--k", "ramsey",
@@ -438,7 +490,7 @@ class TestRamsey:
     def test_verify_failure_is_math_error(self, runner, tmp_path):
         p = tmp_path / "tri.json"
         p.write_text(json.dumps(
-            {"order": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+            {"n": 3, "order": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
         r = invoke(runner, ["ramsey", "verify", "-n", "3", "--witness",
                             str(p)])
         assert r.exit_code == 1
@@ -487,13 +539,18 @@ class TestRamsey:
                             f"TypeError('{why} is not an integer')\n")
 
     def test_witness_n_and_edge_shape_refused(self, runner, tmp_path):
+        # both readers read the file's n, though ramsey verify checks -n
         p = tmp_path / "w.json"
         doc = json.loads(witness_to_json(builtin_record(3)))
-        p.write_text(json.dumps(dict(doc, n=3.0)))
-        r = invoke(runner, ["lower", "verify", "-n", "3", "--witness", str(p)])
-        assert r.exit_code == 2
-        assert r.stderr == ("error: malformed witness file: "
-                            "TypeError('n 3.0 is not an integer')\n")
+        no_n = {k: v for k, v in doc.items() if k != "n"}
+        for text, why in [(json.dumps(dict(doc, n=3.0)),
+                           "TypeError('n 3.0 is not an integer')"),
+                          (json.dumps(no_n), "KeyError('n')")]:
+            p.write_text(text)
+            for command in (["ramsey", "verify"], ["lower", "verify"]):
+                r = invoke(runner, command + ["-n", "3", "--witness", str(p)])
+                assert (r.exit_code, r.stdout) == (2, ""), command
+                assert r.stderr == f"error: malformed witness file: {why}\n"
         p.write_text(json.dumps(dict(doc, edges=[[0, 1, 2]])))
         for command in (["ramsey", "verify"], ["lower", "verify"]):
             r = invoke(runner, command + ["-n", "3", "--witness", str(p)])
@@ -1059,6 +1116,36 @@ class TestColoring:
                                 "classes, more than the limit of 1000\n")
             assert "malformed" not in r.output
             assert "OrdinalError(" not in r.output
+
+
+@pytest.mark.parametrize("kind, text, key", [
+    ("coloring", '{"gamma": "w+2", "within": '
+                 '[{"class": [1, 0], "color": 0, "color": 1}]}', "color"),
+    ("coloring", '{"gamma": "w+2", "gamma": "w^2"}', "gamma"),
+    ("certificate", '{"kind": "blue-3", "kind": "red-omega-plus-n", '
+                    '"triangle": ["0", "1", "2"]}', "kind"),
+    ("witness", '{"n": 3, "order": 5, "edges": [[0, 1]], "edges": '
+                '[[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}', "edges"),
+], ids=["coloring-entry", "coloring-gamma", "certificate-kind",
+        "witness-edges"])
+def test_key_given_twice_is_malformed(runner, tmp_path, kind, text, key):
+    # json.loads would keep the last value and judge the file on it
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    red = tmp_path / "red.json"
+    red.write_text(json.dumps({"gamma": "w+2"}))
+    commands = {
+        "coloring": [["coloring", "decide", str(path), "-n", "2"]],
+        "certificate": [["coloring", "check", str(red), "--certificate",
+                         str(path)]],
+        "witness": [["ramsey", "verify", "-n", "3", "--witness", str(path)],
+                    ["lower", "verify", "-n", "3", "--witness", str(path)]],
+    }[kind]
+    for command in commands:
+        r = invoke(runner, command)
+        assert (r.exit_code, r.stdout) == (2, ""), command
+        assert r.stderr == (f"error: malformed {kind} file: "
+                            f"ValueError('key \"{key}\" is given twice')\n")
 
 
 def _live_runner_streams() -> int:
