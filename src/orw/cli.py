@@ -24,8 +24,8 @@ from .coloring import (
     decide_red_closed_omega_plus_n,
     check_certificate,
 )
-from .lowerbound import export_dot, verify_lower_bound
-from .ordinals import Ordinal, OrdinalError, SizeLimitError, parse
+from .lowerbound import export_dot, lower_bound_gamma, verify_lower_bound
+from .ordinals import ONE, Ordinal, OrdinalError, SizeLimitError, parse
 from .ramsey import (
     RamseyError,
     TableEntry,
@@ -37,7 +37,8 @@ from .ramsey import (
     witness_from_json,
     witness_to_json,
 )
-from .replay import instantiate_clauses, replay_theorem, resolve_k
+from .replay import (instantiate_clauses, replay_gamma, replay_theorem,
+                     resolve_k)
 from .solver import BudgetExceeded
 
 __all__ = ["main", "BoundsRow", "bounds_rows"]
@@ -126,7 +127,8 @@ def _resolve_entry(m: int, table: dict[int, TableEntry]) -> TableEntry:
 
 
 def bounds_row(n: int, table: dict[int, TableEntry]) -> BoundsRow:
-    """Evaluate all four bound formulas at n.
+    """The four bounds at n.  lower is one past the space `lower verify`
+    colors; square and ramsey are the spaces `upper replay` refutes.
 
     lower   = w^2*n + w*(R(n,3)-n) + n
     square  = w^2*n + w*(n^2-4) + 1
@@ -142,19 +144,17 @@ def bounds_row(n: int, table: dict[int, TableEntry]) -> BoundsRow:
         used[f"R({m},3)"] = entry
         return entry.value
 
-    w2, w, fin = (functools.partial(Ordinal.omega_power, e) for e in (2, 1, 0))
-    lower = w2(n) + w(val(n) - n) + fin(n)
-    upper_square = w2(n) + w(n * n - 4) + fin(1)
-    upper_ramsey = w2(n) + w(val(2 * n - 3) + 1) + fin(1)
-    upper_prior = w2(val(n - 1) + 1) + w(n - 1) + fin(n)
+    lower = lower_bound_gamma(n, val(n)) + ONE
+    upper_square = replay_gamma(n, resolve_k(n, "square-K", table)[0])
+    k, used[f"R({2 * n - 3},3)"] = resolve_k(n, "ramsey-K", table)
+    upper_ramsey = replay_gamma(n, k)
+    upper_prior = (Ordinal.omega_power(2, val(n - 1) + 1)
+                   + Ordinal.omega_power(1, n - 1) + Ordinal.from_int(n))
     return BoundsRow(n, lower, upper_square, upper_ramsey, upper_prior,
                      upper_square < upper_ramsey, used)
 
 
-def bounds_rows(nmax: int,
-                table: Optional[dict[int, TableEntry]] = None,
-                ) -> list[BoundsRow]:
-    table = load_ramsey_table() if table is None else table
+def bounds_rows(nmax: int, table: dict[int, TableEntry]) -> list[BoundsRow]:
     return [bounds_row(n, table) for n in range(3, nmax + 1)]
 
 

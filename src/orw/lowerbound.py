@@ -30,7 +30,8 @@ from .ordinals import (
     OrdinalError,
     valid_classes,
 )
-from .ramsey import RamseyRecord, RamseyError, builtin_record, relabel_red_prefix
+from .ramsey import (RamseyRecord, RamseyError, WitnessGraph, builtin_record,
+                     find_triangle, relabel_red_prefix)
 
 __all__ = [
     "VertexClassSpec",
@@ -119,9 +120,6 @@ class GnGraph:
             out |= group
         return frozenset(out)
 
-    def adjacent(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
 
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
@@ -136,8 +134,7 @@ def build_gn(spec: VertexClassSpec) -> GnGraph:
     """
     n, k = spec.n, spec.k
     g = spec.ramsey.witness
-    prefix = range(n - 1)
-    if any(g.has_edge(a, b) for a, b in combinations(prefix, 2)):
+    if not g.is_independent(range(n - 1)):
         raise RamseyError("witness prefix is not independent; relabel first")
     e1 = set()
     for i in range(1, n + 1):
@@ -162,12 +159,14 @@ def build_gn(spec: VertexClassSpec) -> GnGraph:
 
 
 def check_triangle_free(g: GnGraph):
-    """Exhaustive triple check; returns (ok, offending triangle or None)."""
+    """(True, None), or (False, the first triangle in name order)."""
     names = sorted(g.spec.vertices)
-    for a, b, c in combinations(names, 3):
-        if g.adjacent(a, b) and g.adjacent(a, c) and g.adjacent(b, c):
-            return False, (a, b, c)
-    return True, None
+    index = {name: i for i, name in enumerate(names)}
+    tri = find_triangle(WitnessGraph.from_pairs(
+        len(names), ((index[a], index[b]) for a, b in g.edges)))
+    if tri is None:
+        return True, None
+    return False, tuple(names[i] for i in tri)
 
 
 def induced_lower_coloring(g: GnGraph) -> QuotientColoring:

@@ -184,7 +184,9 @@ def parse(text: str) -> Ordinal:
     """Parse `term ('+' term)*` with term `w ('^' nat)? ('*' nat)? | nat`.
 
     Terms are summed left to right with ordinal addition, so non-canonical
-    input like "w+w^2" collapses to its canonical form.
+    input like "w+w^2" collapses to its canonical form.  A number, or a
+    summed coefficient, longer than Python's limit for converting an int
+    to or from a decimal string is refused.
     """
     pos = 0
     n = len(text)
@@ -197,11 +199,14 @@ def parse(text: str) -> Ordinal:
     def read_nat() -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():  # the digits int() reads
             pos += 1
         if pos == start:
             raise OrdinalParseError("expected a number", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            raise OrdinalParseError("number too long to read", start) from None
 
     def read_term() -> Ordinal:
         nonlocal pos
@@ -225,7 +230,7 @@ def parse(text: str) -> Ordinal:
             if coeff == 0:
                 return ZERO
             return Ordinal.omega_power(exp, coeff)
-        if text[pos].isdigit():
+        if text[pos].isdecimal():
             return Ordinal.from_int(read_nat())
         raise OrdinalParseError(f"unexpected character {text[pos]!r}", pos)
 
@@ -237,6 +242,10 @@ def parse(text: str) -> Ordinal:
         pos += 1
         total = total + read_term()
         skip_ws()
+    try:
+        str(total)
+    except ValueError:
+        raise OrdinalParseError("sum too long to print", n) from None
     return total
 
 

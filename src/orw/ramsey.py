@@ -34,6 +34,7 @@ __all__ = [
     "RamseyRecord",
     "TableEntry",
     "circulant",
+    "find_triangle",
     "verify_witness",
     "canonical_form",
     "search_witnesses",
@@ -87,6 +88,10 @@ class WitnessGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
+    def is_independent(self, vertices) -> bool:
+        return not any(self.has_edge(a, b)
+                       for a, b in combinations(vertices, 2))
+
     def relabel(self, perm: list[int]) -> "WitnessGraph":
         """Apply a permutation: vertex v of self becomes perm[v]."""
         if sorted(perm) != list(range(self.order)):
@@ -107,7 +112,8 @@ class WitnessReport(NamedTuple):
     independent_set: Optional[tuple[int, ...]]
 
 
-def _find_triangle(g: WitnessGraph) -> Optional[tuple[int, int, int]]:
+def find_triangle(g: WitnessGraph) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first triangle, or None."""
     masks = g.adjacency_masks()
     for a, b in sorted(g.edges):
         common = masks[a] & masks[b]
@@ -120,17 +126,32 @@ def _independent_set(masks, within: int,
                      size: int) -> Optional[tuple[int, ...]]:
     """The lexicographically first independent set of the given size among
     the vertices of the mask `within`, or None (always, for a negative size).
+
+    A depth-first search, lowest vertex first, that leaves a branch once
+    its candidates cannot make up the size.  The picks are kept on an
+    explicit stack, so their number is not bounded by the recursion limit.
     """
-    if size <= 0:
-        return () if size == 0 else None
-    while within.bit_count() >= size:
-        low = within & -within
-        within ^= low
-        v = low.bit_length() - 1
-        rest = _independent_set(masks, within & ~masks[v], size - 1)
-        if rest is not None:
-            return (v,) + rest
-    return None
+    if size < 0:
+        return None
+    picked: list[int] = []
+    left: list[int] = []  # the candidates after each pick, at its depth
+    need = size
+    while True:
+        while need and within.bit_count() >= need:
+            low = within & -within
+            within ^= low
+            v = low.bit_length() - 1
+            picked.append(v)
+            left.append(within)
+            within &= ~masks[v]
+            need -= 1
+        if not need:
+            return tuple(picked)
+        if not picked:
+            return None
+        picked.pop()  # no candidate left at this depth: undo the last pick
+        within = left.pop()
+        need += 1
 
 
 def _find_independent_set(g: WitnessGraph, size: int) -> Optional[tuple[int, ...]]:
@@ -147,7 +168,7 @@ def verify_witness(g: WitnessGraph, n: int) -> WitnessReport:
     """True iff g is triangle-free and has no independent set of size n,
     for n >= 1 (a smaller n is refused)."""
     _check_n(n)
-    tri = _find_triangle(g)
+    tri = find_triangle(g)
     if tri is not None:
         return WitnessReport(False, tri, None)
     ind = _find_independent_set(g, n)
@@ -386,7 +407,7 @@ def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
     if not rec.verified():
         raise RamseyError("relabeling requires a verified record")
     k = rec.n - 1
-    if _prefix_independent(g, k):
+    if g.is_independent(range(k)):
         return rec
     ind = _find_independent_set(g, k)
     if ind is None:
@@ -398,10 +419,6 @@ def relabel_red_prefix(rec: RamseyRecord) -> RamseyRecord:
     out = RamseyRecord(rec.n, rec.value, g.relabel(perm), rec.source)
     out.__dict__["report"] = rec.report  # where cached_property keeps it
     return out
-
-
-def _prefix_independent(g: WitnessGraph, k: int) -> bool:
-    return all(not g.has_edge(a, b) for a, b in combinations(range(k), 2))
 
 
 class TableEntry(NamedTuple):
@@ -421,8 +438,9 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
 
     In the object `values`, every key must be a decimal integer n >= 1
     written without sign, spaces or leading zeros, and given once; every
-    value a JSON integer; every source "computed" or "external".  Anything
-    else is refused as a malformed table, never coerced or rounded.
+    value a JSON integer of at least n, as the edgeless graph on n-1
+    vertices shows; every source "computed" or "external".  Anything else
+    is refused as a malformed table, never coerced or rounded.
     """
     if path is None:
         text = resources.files("orw.data").joinpath(
@@ -447,6 +465,8 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
             else:  # a bare number defaults to externally sourced
                 value, source = entry, "external"
             value = _json_int(value, f"R({key},3) value")
+            if value < int(key):
+                raise ValueError(f"R({key},3) value {value} is below {key}")
             if source not in ("computed", "external"):
                 raise ValueError(f"R({key},3) source {json.dumps(source)} "
                                  "is neither computed nor external")

@@ -107,7 +107,6 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     # a duplicate-free input tuple is shared, not copied
     cls = [c if type(c) is tuple and len(set(c)) == len(c)
            else tuple(dict.fromkeys(c)) for c in clauses]
-    n_orig = len(cls)
     lits = {l for c in cls for l in c}
     if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
         bad = next(c for c in cls
@@ -133,8 +132,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     step_left = lefts.append
     step_right = steps.right.append
     step_pivot = steps.pivot.append
-    axiom_of: dict[int, int] = {}
-    learned_step: dict[int, int] = {}
+    step_at = [-1] * len(cls)  # clause -> its step; -1: not yet cited
     lbd: dict[int, int] = {}  # live learned clauses, oldest first
 
     def result(status: str, model: Optional[dict[int, bool]] = None,
@@ -146,18 +144,15 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         return SolveResult(status, model, trace, nodes, conflicts, restarts,
                            reductions)
 
-    def axiom(ci: int) -> int:
-        got = axiom_of.get(ci)
-        if got is None:
-            got = len(lefts)
+    def step_of(ci: int) -> int:
+        # an input clause's axiom step is made when it is first cited
+        got = step_at[ci]
+        if got < 0:
+            got = step_at[ci] = len(lefts)
             step_left(ci)
             step_right(-1)
             step_pivot(0)
-            axiom_of[ci] = got
         return got
-
-    def step_of(ci: int) -> int:
-        return axiom(ci) if ci < n_orig else learned_step[ci]
 
     def set_lit(lit: int, why: Optional[int]) -> None:
         value[lit] = 1
@@ -180,7 +175,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
 
     for ci, c in enumerate(cls):
         if not c:
-            return result("unsat", final=axiom(ci))
+            return result("unsat", final=step_of(ci))
         attach(ci)
 
     def propagate() -> Optional[int]:
@@ -347,7 +342,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         cands.sort(key=lambda ci: -lbd[ci])  # stable: the older first
         gone = set(cands[:len(cands) // 2])
         for ci in gone:
-            del lbd[ci], learned_step[ci]
+            del lbd[ci]
             cls[ci] = watch_lits[ci] = ()  # never read again
         for wl in watches:
             if wl:
@@ -385,7 +380,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             # so the stale-watch invariant holds after the jump back
             lower.sort(key=lambda l: (-level[abs(l)], abs(l)))
             cls.append(tuple([uip] + lower))
-            learned_step[ci] = sid
+            step_at.append(sid)
             lbd[ci] = len({level[abs(l)] for l in lower}) + 1  # + uip's
             attach(ci)
             if bj and conflicts >= next_restart:

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import orw.lowerbound
 import orw.ramsey
-from orw.cli import main
+from orw.cli import bounds_row, main
 from orw.coloring import (
     CopyCertificate,
     QuotientColoring,
@@ -21,8 +21,10 @@ from orw.coloring import (
     coloring_to_json,
     decide_red_closed_omega_plus_n,
 )
-from orw.ordinals import NodeClassId, parse, valid_classes
-from orw.ramsey import builtin_record, witness_to_json
+from orw.lowerbound import verify_lower_bound
+from orw.ordinals import ONE, NodeClassId, parse, valid_classes
+from orw.ramsey import builtin_record, load_ramsey_table, witness_to_json
+from orw.replay import VariableSpace
 
 
 @pytest.fixture
@@ -59,6 +61,21 @@ class TestBounds:
         row4 = doc["rows"][1]
         assert row4["ramsey_values_used"]["R(5,3)"] == {
             "value": 14, "source": "external"}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_lower_cell_is_the_verified_space(self, n):
+        # one past the space `lower verify` colors
+        row = bounds_row(n, load_ramsey_table())
+        assert row.lower == verify_lower_bound(n).gamma + ONE
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_upper_cells_are_the_replayed_spaces(self, n):
+        # the spaces `upper replay` refutes at square-K and ramsey-K
+        table = load_ramsey_table()
+        row = bounds_row(n, table)
+        assert row.upper_square == VariableSpace(n, n * n - 4).gamma
+        k = table[2 * n - 3].value + 1
+        assert row.upper_ramsey == VariableSpace(n, k).gamma
 
     def test_byte_identical_reruns(self, runner):
         a = invoke(runner, ["bounds", "--json"])
@@ -125,6 +142,23 @@ class TestBounds:
                         ["bounds", "--nmax", "3", "--json"]):
             r = invoke(runner, command + ["--table", str(p)])
             assert r.exit_code == 2 and r.stdout == "", command
+            assert r.stderr == ("error: malformed table file: "
+                                f"ValueError('{why}')\n")
+
+    @pytest.mark.parametrize("values, why", [
+        ('{"3": -6}', "R(3,3) value -6 is below 3"),
+        ('{"2": 3, "3": 2}', "R(3,3) value 2 is below 3"),
+    ], ids=["negative", "below-n"])
+    def test_table_value_below_n_refused(self, runner, tmp_path, values,
+                                         why):
+        # `ramsey value` printed -6 as R(3,3), and `bounds` failed inside
+        # its formula with "bad term (w^1)*-1"
+        p = tmp_path / "t.json"
+        p.write_text('{"values": %s}' % values)
+        for command in (["ramsey", "value", "-n", "3"],
+                        ["bounds", "--nmax", "3"]):
+            r = invoke(runner, command + ["--table", str(p)])
+            assert (r.exit_code, r.stdout) == (2, ""), command
             assert r.stderr == ("error: malformed table file: "
                                 f"ValueError('{why}')\n")
 
@@ -496,6 +530,15 @@ class TestRamsey:
         assert r.exit_code == 1
         assert "triangle" in r.output
 
+    def test_verify_large_independent_set(self, runner, tmp_path):
+        # the set is found one pick per vertex, past the recursion limit
+        p = tmp_path / "edgeless.json"
+        p.write_text(json.dumps({"n": 3, "order": 3000, "edges": []}))
+        r = invoke(runner, ["ramsey", "verify", "-n", "2000", "--witness",
+                            str(p)])
+        assert (r.exit_code, r.stderr) == (1, "")
+        assert r.stdout == f"FAIL: independent set {tuple(range(2000))}\n"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_verify_n_below_1_is_input_error(self, runner, tmp_path, n):
         # an input error, not a verdict: with -1 every triangle-free graph
@@ -647,6 +690,20 @@ class TestOrdinal:
         r = invoke(runner, ["ordinal", "eval", "x+y"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("expr, why", [
+        ("9" * 5000, "number too long to read (at position 0)"),
+        ("9" * 4300 + "+1", "sum too long to print (at position 4302)"),
+        ("w^" + "9" * 5000, "number too long to read (at position 2)"),
+    ], ids=["number", "sum", "exponent"])
+    def test_number_past_the_digit_limit_refused(self, runner, expr, why):
+        # int() cannot read the number, or str() cannot print the sum
+        r = invoke(runner, ["ordinal", "eval", expr])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {why}\n")
+
+    def test_number_at_the_digit_limit_printed(self, runner):
+        r = invoke(runner, ["ordinal", "eval", "9" * 4300])
+        assert (r.exit_code, r.stdout) == (0, "9" * 4300 + "\n")
+
 
 def _pair(a, b, color):
     return {"a": a, "b": b, "color": color}
@@ -706,6 +763,12 @@ LOADER_REFUSALS = [
     pytest.param({"gamma": "w*2", "within": [{"class": [1, 0], "color": 2}]},
                  _malformed("OrdinalError('color 2 is not 0 or 1')"),
                  id="color-2"),
+    # a blue triangle whose point could not be printed in its certificate
+    pytest.param({"gamma": "w*2", "overrides": [
+        _pair("9" * 4300 + "+1", "0", 1), _pair("9" * 4300 + "+1", "1", 1),
+        _pair("0", "1", 1)]}, _malformed(
+        "OrdinalParseError('sum too long to print (at position 4302)')"),
+        id="override-too-long-to-print"),
     # every within key is read before any within class is checked
     pytest.param({"gamma": "w*2", "within": [
         {"class": [9, 0], "color": 0}, {"class": ["a", 0], "color": 0}]},

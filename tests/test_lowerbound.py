@@ -134,7 +134,15 @@ class TestGraph:
         ok, tri = check_triangle_free(bad)
         assert not ok
         a, b, c = tri
-        assert bad.adjacent(a, b) and bad.adjacent(a, c) and bad.adjacent(b, c)
+        assert {(a, b), (a, c), (b, c)} <= bad.edges
+
+    def test_planted_triangle_is_the_first_in_name_order(self):
+        # the triple the exhaustive scan of sorted names met first
+        spec, g, _ = pipeline(3)
+        strata = dict(g.strata)
+        strata["E1"] = frozenset(set(strata["E1"]) | {("A1", "L1")})
+        bad = GnGraph(spec, strata, g.w_vertices)
+        assert check_triangle_free(bad) == (False, ("A1", "B1", "L1"))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_spine_neighborhoods(self, n):
@@ -158,7 +166,7 @@ class TestGraph:
     def test_last_pendant_is_absent(self):
         # C_{n+K} keeps no pendant edge; its limit joins the hub W instead
         _, g, _ = pipeline(3)
-        assert not g.adjacent("C6", "L6")
+        assert ("C6", "L6") not in g.edges
         assert "L6" in g.w_vertices and "C6" in g.w_vertices
 
     def test_dot_export(self):

@@ -76,6 +76,21 @@ def test_parse_errors_carry_position():
         parse("x")
 
 
+def test_parse_refuses_what_int_cannot_read_or_print():
+    with pytest.raises(OrdinalParseError, match="number too long") as e:
+        parse("w*2+" + "9" * 5000)
+    assert e.value.position == 4
+    with pytest.raises(OrdinalParseError, match="sum too long") as e:
+        parse("w+" + "9" * 4300 + "+1")
+    assert e.value.position == 4304
+    assert parse("w+" + "9" * 4300).terms == ((1, 1), (0, 10 ** 4300 - 1))
+    # a digit int() cannot read is no number; a decimal digit int() reads
+    with pytest.raises(OrdinalParseError,
+                       match=r"^unexpected character '²' \(at position 2\)$"):
+        parse("w+²")
+    assert parse("w+\u0663") == parse("w+3")
+
+
 def test_print_forms():
     assert str(ZERO) == "0"
     assert str(o("w^2*3+w*3+3")) == "w^2*3+w*3+3"

@@ -21,6 +21,7 @@ from orw.ramsey import (
     builtin_record,
     canonical_form,
     circulant,
+    find_triangle,
     load_ramsey_table,
     ramsey_value,
     relabel_red_prefix,
@@ -118,6 +119,31 @@ class TestVerifyWitness:
             if rep.independent_set is not None:
                 assert all(not g.has_edge(a, b) for a, b in
                            combinations(rep.independent_set, 2))
+
+    def test_searches_answer_lexicographically_first(self):
+        # the first triple or set in combinations' order, as the pinned
+        # stage details and brute-force digests read them
+        rng = random.Random(25)
+        for _ in range(300):
+            order = rng.randrange(0, 12)
+            pairs = [p for p in combinations(range(order), 2)
+                     if rng.random() < rng.random()]
+            g = WitnessGraph.from_pairs(order, pairs)
+            assert find_triangle(g) == next(
+                (t for t in combinations(range(order), 3)
+                 if all(g.has_edge(a, b) for a, b in combinations(t, 2))),
+                None)
+            assert orw.ramsey._find_independent_set(g, -1) is None
+            for size in range(order + 2):
+                want = next((s for s in combinations(range(order), size)
+                             if g.is_independent(s)), None)
+                assert orw.ramsey._find_independent_set(g, size) == want
+
+    def test_independent_set_search_is_not_bounded_by_recursion(self):
+        # one pick per vertex: the recursive search ended in RecursionError
+        g = WitnessGraph.from_pairs(3000, [])
+        rep = verify_witness(g, 2000)
+        assert (rep.ok, rep.independent_set) == (False, tuple(range(2000)))
 
 
 class TestCanonicalForm:
@@ -444,6 +470,26 @@ class TestTable:
     def test_missing_value_names_the_argument(self):
         with pytest.raises(RamseyError, match="14"):
             ramsey_value(14)
+
+    @pytest.mark.parametrize("values, why", [
+        ({"3": -6}, "R(3,3) value -6 is below 3"),
+        ({"2": 3, "3": 2}, "R(3,3) value 2 is below 3"),
+        ({"4": {"value": 3, "source": "computed"}},
+         "R(4,3) value 3 is below 4"),
+    ])
+    def test_value_below_n_refused(self, tmp_path, values, why):
+        # the edgeless graph on n-1 vertices shows R(n,3) >= n
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({"values": values}))
+        with pytest.raises(RamseyError) as e:
+            load_ramsey_table(str(p))
+        assert str(e.value) == f"malformed table file: ValueError('{why}')"
+
+    def test_value_n_accepted(self, tmp_path):
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({"values": {"1": 1, "2": 2}}))
+        assert load_ramsey_table(str(p)) == {1: TableEntry(1, "external"),
+                                             2: TableEntry(2, "external")}
 
     def test_custom_table_file(self, tmp_path):
         p = tmp_path / "table.json"
