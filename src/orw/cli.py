@@ -117,15 +117,6 @@ class BoundsRow:
                 "above an upper bound")
 
 
-def _resolve_entry(m: int, table: dict[int, TableEntry]) -> TableEntry:
-    if m in table:
-        return table[m]
-    if m == 2:  # tiny enough to settle on the spot
-        rec = brute_force_ramsey(2)
-        return TableEntry(rec.value, rec.source)
-    return ramsey_value(m, table)  # raises, naming the missing value
-
-
 def bounds_row(n: int, table: dict[int, TableEntry]) -> BoundsRow:
     """The four bounds at n.  lower is one past the space `lower verify`
     colors; square and ramsey are the spaces `upper replay` refutes.
@@ -140,7 +131,7 @@ def bounds_row(n: int, table: dict[int, TableEntry]) -> BoundsRow:
     used: dict[str, TableEntry] = {}
 
     def val(m: int) -> int:
-        entry = _resolve_entry(m, table)
+        entry = ramsey_value(m, table)
         used[f"R({m},3)"] = entry
         return entry.value
 

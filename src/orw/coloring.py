@@ -16,7 +16,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .ordinals import (
     NodeClassId,
@@ -34,6 +34,7 @@ from .ordinals import (
     read_json,
     valid_classes,
 )
+from .ramsey import independent_set
 
 RED = 0
 BLUE = 1
@@ -230,80 +231,55 @@ class CopyCertificate:
 
 
 class _Slot(NamedTuple):
-    """A search token: a concrete point, or a fresh member of an infinite class."""
+    """A search token: a point, or (point None) a fresh member of its class."""
 
-    kind: str  # "point" | "class"
     point: Optional[Ordinal]
     cls: NodeClassId
 
 
-def _explicit_points(c: QuotientColoring) -> list[Ordinal]:
-    """Override-touched points plus all members of finite classes, sorted."""
-    pts = set(c.touched())
-    for cid in valid_classes(c.gamma):
-        if class_size(c.gamma, cid) is not None:
-            pts.update(node_class(c.gamma, cid))
-    return sorted(pts)
-
-
 def _slot_color(c: QuotientColoring, s: _Slot, t: _Slot) -> Color:
     """Color taken by a realization of two slots (fresh points dodge overrides)."""
-    if s.kind == "point" and t.kind == "point":
+    if s.point is not None and t.point is not None:
         col = c.overrides.get(_point_key(s.point, t.point))
         if col is not None:
             return col
     return c.class_pair_color(s.cls, t.cls)
 
 
-def _pool(c: QuotientColoring, points: Iterable[Ordinal]) -> list[_Slot]:
-    """Search slots: one per point, then one per infinite class."""
-    return ([_Slot("point", p, classify(c.gamma, p)) for p in points]
-            + [_Slot("class", None, cid) for cid in valid_classes(c.gamma)
-               if class_size(c.gamma, cid) is None])
+def _pool(c: QuotientColoring) -> list[_Slot]:
+    """Search slots, from one walk of the classes: one per explicit point
+    (override-touched or in a finite class), sorted, then one per infinite
+    class.  Only a touched point outside the finite classes is classified."""
+    named: dict[Ordinal, NodeClassId] = {}
+    fresh: list[_Slot] = []
+    for cid in valid_classes(c.gamma):
+        if class_size(c.gamma, cid) is None:
+            fresh.append(_Slot(None, cid))
+        else:
+            named.update(dict.fromkeys(node_class(c.gamma, cid), cid))
+    for p in c.touched() - named.keys():
+        named[p] = classify(c.gamma, p)
+    return [_Slot(p, named[p]) for p in sorted(named)] + fresh
 
 
-def _clique(c: QuotientColoring, pool: list[_Slot], usable: list[int],
-            size: int, color: Color) -> Optional[list[int]]:
-    """The first `size` slots from `usable` (pool indices) pairwise `color`.
+class _Conflicts(dict):
+    """The pool's conflict rows for one color, each filled on its first
+    read: row i is the mask of the later slots j > i whose pair with slot i
+    takes the other color, so a clique of the color is an independent set.
+    `repeat` masks the class slots whose within color is the color: two
+    fresh members of a class take it, so such a slot may fill every pick."""
 
-    A depth-first search: candidates are tried in `usable` order, each from
-    the position of the previous pick on.  A point slot is used once; a
-    class slot may repeat, and two fresh members of a class take its within
-    color, so a repeat passes exactly when that color is `color`.  Such a
-    slot, once it passes, would be picked again at every deeper level, so
-    it fills the remaining picks at once.  A branch is left as soon as the
-    slots after it cannot make up `size`.  The picks are kept on an explicit
-    stack, so their number is not bounded by the recursion limit.
-    """
-    def repeats(s: _Slot) -> bool:
-        return s.kind == "class" and c.within[s.cls] == color
+    def __init__(self, c: QuotientColoring, pool: list[_Slot], color: Color):
+        super().__init__()
+        self.c, self.pool, self.color = c, pool, color
+        self.repeat = sum(1 << i for i, s in enumerate(pool)
+                          if s.point is None and c.within[s.cls] == color)
 
-    # room[p]: at most how many more picks positions p, p+1, ... can give
-    room = [0] * (len(usable) + 1)
-    for p in range(len(usable) - 1, -1, -1):
-        room[p] = size if repeats(pool[usable[p]]) else room[p + 1] + 1
-    picked: list[int] = []
-    taken_at: list[int] = []  # the position each pick was taken from
-    pos = 0
-    while len(picked) < size:
-        while len(picked) + room[pos] >= size:
-            idx = usable[pos]
-            s = pool[idx]
-            if not (s.kind == "point" and idx in picked) and all(
-                    _slot_color(c, pool[j], s) == color for j in picked):
-                break
-            pos += 1
-        else:  # no candidate left at this depth: undo the last pick
-            if not picked:
-                return None
-            picked.pop()
-            pos = taken_at.pop() + 1
-            continue
-        if repeats(s):
-            return picked + [idx] * (size - len(picked))
-        picked.append(idx)
-        taken_at.append(pos)
-    return picked
+    def __missing__(self, i: int) -> int:
+        s, pool = self.pool[i], self.pool
+        self[i] = sum(1 << j for j in range(i + 1, len(pool))
+                      if _slot_color(self.c, s, pool[j]) != self.color)
+        return self[i]
 
 
 def _materialize(c: QuotientColoring, slots: list[_Slot],
@@ -315,11 +291,11 @@ def _materialize(c: QuotientColoring, slots: list[_Slot],
     slot uses, in order.
     """
     banned = set(c.touched())
-    banned.update(s.point for s in slots if s.kind == "point")
+    banned.update(s.point for s in slots if s.point is not None)
     walks: dict[NodeClassId, Iterator[Ordinal]] = {}
     chosen: list[Ordinal] = []
     for s in slots:
-        if s.kind == "point":
+        if s.point is not None:
             chosen.append(s.point)
             continue
         if s.cls not in walks:
@@ -342,8 +318,9 @@ def decide_blue_closed_3(c: QuotientColoring) -> Optional[CopyCertificate]:
     pool triple with the same pairwise colors, and every passing pool triple
     is realizable, so the search is exact.
     """
-    pool = _pool(c, _explicit_points(c))
-    found = _clique(c, pool, list(range(len(pool))), 3, BLUE)
+    pool = _pool(c)
+    rows = _Conflicts(c, pool, BLUE)
+    found = independent_set(rows, (1 << len(pool)) - 1, 3, rows.repeat)
     if found is None:
         return None
     points = _materialize(c, [pool[i] for i in found])
@@ -352,23 +329,26 @@ def decide_blue_closed_3(c: QuotientColoring) -> Optional[CopyCertificate]:
 
 
 def _limit_candidates(c: QuotientColoring,
-                      explicit: list[Ordinal]) -> list[Ordinal]:
+                      pool: list[_Slot]) -> list[Ordinal]:
     """Structurally distinct limit-point candidates, finitely many.
 
-    Concrete candidates: every explicit point of rank >= 1.  Fresh candidates:
-    for each infinite class of level >= 1, one untouched member in each gap
-    between consecutive explicit points — members of one class in one gap see
-    the same classes accumulating below and the same points available above,
-    so one representative per (class, gap) suffices.  A class lies strictly
-    inside its component (base, top), so only the gaps that meet that
-    interval are walked, each up to its first usable member.
+    Concrete candidates: every explicit point (point slot) of rank >= 1.
+    Fresh candidates: for each infinite class (class slot) of level >= 1,
+    one untouched member in each gap between consecutive explicit points —
+    members of one class in one gap see the same classes accumulating below
+    and the same points available above, so one representative per (class,
+    gap) suffices.  A class lies strictly inside its component (base, top),
+    so only the gaps that meet that interval are walked, each up to its
+    first usable member.
     """
     touched = c.touched()
+    explicit = [s.point for s in pool if s.point is not None]
     out = {p for p in explicit if p.cb_rank() >= 1}
     skip = len(touched) + len(explicit) + 3
-    bounds: list[Optional[Ordinal]] = [None] + list(explicit) + [None]
-    for cid in valid_classes(c.gamma):
-        if cid.level < 1 or class_size(c.gamma, cid) is not None:
+    bounds: list[Optional[Ordinal]] = [None] + explicit + [None]
+    for s in pool:
+        cid = s.cls
+        if s.point is not None or cid.level < 1:
             continue
         first = bisect_right(explicit, partial_sum(c.gamma, cid.index - 1))
         last = bisect_left(explicit, partial_sum(c.gamma, cid.index))
@@ -404,10 +384,10 @@ def decide_red_closed_omega_plus_n(
         raise SizeLimitError(
             f"n={n} is more than the limit of {MAX_N} for a red closed "
             "omega+n")
-    explicit = _explicit_points(c)
     touched = c.touched()
-    pool = _pool(c, explicit)
-    for p in _limit_candidates(c, explicit):
+    pool = _pool(c)
+    rows = _Conflicts(c, pool, RED)  # shared by every candidate and tail
+    for p in _limit_candidates(c, pool):
         p_cls = classify(c.gamma, p)
         top_of_component = partial_sum(c.gamma, p_cls.index)
         tails = [NodeClassId(p_cls.index, ell) for ell in range(p.cb_rank())]
@@ -415,18 +395,18 @@ def decide_red_closed_omega_plus_n(
                  if c.within[t] == RED and c.class_pair_color(t, p_cls) == RED]
         if not tails:
             continue
-        limit = _Slot("point", p, p_cls)
+        limit = _Slot(p, p_cls)
         # slots realizable above p and red to p; an infinite class of p's
         # component reaches above p unless p is the component's top
         above = [i for i, s in enumerate(pool)
-                 if (p < s.point if s.kind == "point"
+                 if (p < s.point if s.point is not None
                      else s.cls.index > p_cls.index
                      or (s.cls.index == p_cls.index and p != top_of_component))
                  and _slot_color(c, s, limit) == RED]
         for tail in tails:
-            usable = [i for i in above
-                      if c.class_pair_color(pool[i].cls, tail) == RED]
-            combo = _clique(c, pool, usable, n - 1, RED)
+            usable = sum(1 << i for i in above
+                         if c.class_pair_color(pool[i].cls, tail) == RED)
+            combo = independent_set(rows, usable, n - 1, rows.repeat)
             if combo is None:
                 continue
             tops = _materialize(c, [pool[i] for i in combo], above=p)

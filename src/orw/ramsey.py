@@ -35,6 +35,7 @@ __all__ = [
     "TableEntry",
     "circulant",
     "find_triangle",
+    "independent_set",
     "verify_witness",
     "canonical_form",
     "search_witnesses",
@@ -122,31 +123,39 @@ def find_triangle(g: WitnessGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _independent_set(masks, within: int,
-                     size: int) -> Optional[tuple[int, ...]]:
+def independent_set(masks, within: int, size: int,
+                    repeat: int = 0) -> Optional[tuple[int, ...]]:
     """The lexicographically first independent set of the given size among
     the vertices of the mask `within`, or None (always, for a negative size).
+    A vertex of the mask `repeat` may be taken again: once picked, it fills
+    every remaining pick.
 
     A depth-first search, lowest vertex first, that leaves a branch once
-    its candidates cannot make up the size.  The picks are kept on an
-    explicit stack, so their number is not bounded by the recursion limit.
+    its candidates cannot make up the size and hold no repeat vertex.  The
+    picks are kept on an explicit stack, so their number is not bounded by
+    the recursion limit.  `masks[v]` is read only for a picked v (not the
+    last pick), and only for its bits above v, as every candidate left is
+    above the pick: a row may leave out earlier vertices, and may be
+    computed when it is first read.
     """
-    if size < 0:
-        return None
+    if size <= 0:
+        return () if size == 0 else None
     picked: list[int] = []
     left: list[int] = []  # the candidates after each pick, at its depth
     need = size
     while True:
-        while need and within.bit_count() >= need:
+        while within.bit_count() >= need or within & repeat:
             low = within & -within
             within ^= low
             v = low.bit_length() - 1
+            if low & repeat:
+                return tuple(picked) + (v,) * need
             picked.append(v)
+            need -= 1
+            if not need:
+                return tuple(picked)
             left.append(within)
             within &= ~masks[v]
-            need -= 1
-        if not need:
-            return tuple(picked)
         if not picked:
             return None
         picked.pop()  # no candidate left at this depth: undo the last pick
@@ -155,7 +164,7 @@ def _independent_set(masks, within: int,
 
 
 def _find_independent_set(g: WitnessGraph, size: int) -> Optional[tuple[int, ...]]:
-    return _independent_set(g.adjacency_masks(), (1 << g.order) - 1, size)
+    return independent_set(g.adjacency_masks(), (1 << g.order) - 1, size)
 
 
 def _check_n(n: int) -> None:
@@ -293,7 +302,7 @@ def _levels(n: int) -> Iterator[list[tuple[int, ...]]]:
         kept: dict[tuple, list] = {}  # sorted labels -> (masks, labels)
         for masks in level:
             for nb in _independent_subsets(masks, k):
-                if _independent_set(masks, below & ~nb, n - 1) is not None:
+                if independent_set(masks, below & ~nb, n - 1) is not None:
                     continue
                 new = tuple(m | (nb >> v & 1) << k
                             for v, m in enumerate(masks)) + (nb,)
@@ -439,8 +448,9 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
     In the object `values`, every key must be a decimal integer n >= 1
     written without sign, spaces or leading zeros, and given once; every
     value a JSON integer of at least n, as the edgeless graph on n-1
-    vertices shows; every source "computed" or "external".  Anything else
-    is refused as a malformed table, never coerced or rounded.
+    vertices shows; every source "computed" or "external", and in a user
+    file a computed value the search gives.  Anything else is refused as a
+    malformed table, never coerced or rounded.
     """
     if path is None:
         text = resources.files("orw.data").joinpath(
@@ -470,6 +480,14 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
             if source not in ("computed", "external"):
                 raise ValueError(f"R({key},3) source {json.dumps(source)} "
                                  "is neither computed nor external")
+            if source == "computed" and path is not None:
+                if int(key) not in (2, 3, 4):
+                    raise ValueError(f"R({key},3) is not computed in-tree; "
+                                     'its source must be "external"')
+                computed = brute_force_ramsey(int(key)).value
+                if value != computed:
+                    raise ValueError(f"R({key},3) value {value} is not the "
+                                     f"computed value {computed}")
             out[int(key)] = TableEntry(value, source)
     except (KeyError, TypeError, ValueError) as exc:
         raise RamseyError(f"malformed table file: {exc!r}") from exc
@@ -477,10 +495,13 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
 
 
 def ramsey_value(n: int, table: Optional[dict[int, TableEntry]] = None) -> TableEntry:
+    """R(n,3) from the table, the packaged one by default."""
     table = load_ramsey_table() if table is None else table
-    if n not in table:
-        raise RamseyError(f"no R({n},3) value configured; add it to the table")
-    return table[n]
+    if n in table:
+        return table[n]
+    if n == 2:  # small enough to compute on the spot
+        return TableEntry(brute_force_ramsey(2).value, "computed")
+    raise RamseyError(f"no R({n},3) value configured; add it to the table")
 
 
 # -- JSON -------------------------------------------------------------------

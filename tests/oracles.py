@@ -127,6 +127,34 @@ def limit_candidates_all_gaps(c, explicit: list[Ordinal]) -> list[Ordinal]:
     return sorted(out)
 
 
+def independent_set_oracle(masks, within: int, size: int,
+                           repeat: int = 0) -> Optional[tuple[int, ...]]:
+    """The lexicographically first pick list of `size` vertices of the mask
+    `within`, or None: a nondecreasing list whose distinct vertices are
+    pairwise non-adjacent in the full rows `masks`, and in which only a
+    vertex of the mask `repeat` appears more than once.
+
+    Every independent support is tried; the least list on a support sorts
+    the support with its extra picks on its least repeat vertex.
+    """
+    if size < 0:
+        return None
+    vertices = [v for v in range(within.bit_length()) if within >> v & 1]
+    best = None
+    for k in range(min(size, len(vertices)) + 1):
+        for support in combinations(vertices, k):
+            if any(masks[a] >> b & 1 for a, b in combinations(support, 2)):
+                continue
+            extra = size - k
+            spare = tuple(v for v in support if repeat >> v & 1)
+            if extra and not spare:
+                continue
+            picks = tuple(sorted(support + (spare[:1] * extra)))
+            if best is None or picks < best:
+                best = picks
+    return best
+
+
 def canonical_form_oracle(order: int, edges) -> tuple[int, ...]:
     """The least row-by-row adjacency bit string over all vertex orderings.
 

@@ -489,6 +489,35 @@ class TestRamsey:
         r = invoke(runner, ["ramsey", "value", "-n", "5"])
         assert r.output.strip() == "R(5,3) = 14 (external)"
 
+    def test_value_r23_computed(self, runner):
+        # the packaged table has no R(2,3); the lookup computes it, as
+        # `bounds` does for the prior bound at n = 3
+        r = invoke(runner, ["ramsey", "value", "-n", "2"])
+        assert (r.exit_code, r.stdout, r.stderr) == (
+            0, "R(2,3) = 3 (computed)\n", "")
+
+    @pytest.mark.parametrize("values, why", [
+        pytest.param('{"2": {"value": 5, "source": "computed"}, "3": 6, '
+                     '"4": 9}',
+                     "'R(2,3) value 5 is not the computed value 3'",
+                     id="wrong-value"),
+        pytest.param('{"5": {"value": 14, "source": "computed"}}',
+                     '\'R(5,3) is not computed in-tree; its source must be '
+                     '"external"\'', id="beyond-the-search"),
+    ])
+    def test_false_computed_claim_refused(self, runner, tmp_path, values,
+                                          why):
+        # `bounds` printed the R(2,3) = 5 table's prior bound, and its
+        # external-values line, naming only R(3,3), passed the 5 as computed
+        p = tmp_path / "t.json"
+        p.write_text('{"values": %s}' % values)
+        for command in (["ramsey", "value", "-n", "3"],
+                        ["bounds", "--nmax", "3"]):
+            r = invoke(runner, command + ["--table", str(p)])
+            assert (r.exit_code, r.stdout) == (2, ""), command
+            assert r.stderr == (
+                f"error: malformed table file: ValueError({why})\n")
+
     def test_value_missing(self, runner):
         r = invoke(runner, ["ramsey", "value", "-n", "20"])
         assert r.exit_code == 2 and "R(20,3)" in r.output

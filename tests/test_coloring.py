@@ -9,9 +9,10 @@ from typing import Iterator
 
 import pytest
 
+import orw.coloring
 from orw.coloring import (
-    _explicit_points,
     _limit_candidates,
+    _pool,
     BLUE,
     MAX_CLASSES,
     RED,
@@ -499,8 +500,28 @@ def test_limit_candidates_walk_only_reachable_gaps():
     # at its first usable member, leaves the candidate list unchanged
     fresh = 0
     for c in pinned_family():
-        explicit = _explicit_points(c)
-        got = _limit_candidates(c, explicit)
+        pool = _pool(c)
+        explicit = [s.point for s in pool if s.point is not None]
+        got = _limit_candidates(c, pool)
         assert got == limit_candidates_all_gaps(c, explicit), c.gamma
         fresh += len(set(got) - set(explicit))
     assert fresh > 100
+
+
+def test_red_decider_fills_conflict_rows_lazily(monkeypatch):
+    # at n = 2 the all-red w+997 has its copy at the first limit candidate
+    # and the first slot above it: one pair color per slot to test the
+    # slots against the limit, and no conflict row at all.  Filling every
+    # row up front would read about half a million pair colors.
+    c = QuotientColoring.build("w+997")
+    calls = 0
+    real = orw.coloring._slot_color
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(orw.coloring, "_slot_color", counted)
+    assert decide_red_closed_omega_plus_n(c, 2) is not None
+    assert calls <= 2 * len(_pool(c))

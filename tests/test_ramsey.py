@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import orw.ramsey
-from oracles import canonical_form_oracle
+from oracles import canonical_form_oracle, independent_set_oracle
 from orw.ordinals import SizeLimitError
 from orw.ramsey import (
     MAX_ORDER,
@@ -22,6 +22,7 @@ from orw.ramsey import (
     canonical_form,
     circulant,
     find_triangle,
+    independent_set,
     load_ramsey_table,
     ramsey_value,
     relabel_red_prefix,
@@ -138,6 +139,40 @@ class TestVerifyWitness:
                 want = next((s for s in combinations(range(order), size)
                              if g.is_independent(s)), None)
                 assert orw.ramsey._find_independent_set(g, size) == want
+
+    def test_independent_set_with_repeats_matches_oracle(self):
+        # a repeat vertex, once picked, fills the remaining picks; the
+        # answer is the first pick list in lexicographic order
+        rng = random.Random(26)
+        for _ in range(300):
+            order = rng.randrange(0, 11)
+            g = WitnessGraph.from_pairs(order, [
+                p for p in combinations(range(order), 2)
+                if rng.random() < rng.random()])
+            masks = g.adjacency_masks()
+            within = rng.getrandbits(order)
+            repeat = rng.getrandbits(order) & rng.getrandbits(order)
+            for size in range(-1, order + 3):
+                assert independent_set(masks, within, size, repeat) == \
+                    independent_set_oracle(masks, within, size, repeat), \
+                    (masks, within, size, repeat)
+
+    def test_independent_set_reads_only_later_bits(self):
+        # every candidate left is above the pick, so rows without the
+        # earlier vertices give the same answers as full rows
+        rng = random.Random(27)
+        for _ in range(300):
+            order = rng.randrange(0, 11)
+            g = WitnessGraph.from_pairs(order, [
+                p for p in combinations(range(order), 2)
+                if rng.random() < rng.random()])
+            full = g.adjacency_masks()
+            later = [m >> v + 1 << v + 1 for v, m in enumerate(full)]
+            within = rng.getrandbits(order)
+            repeat = rng.getrandbits(order) & rng.getrandbits(order)
+            for size in range(-1, order + 3):
+                assert independent_set(later, within, size, repeat) == \
+                    independent_set(full, within, size, repeat)
 
     def test_independent_set_search_is_not_bounded_by_recursion(self):
         # one pick per vertex: the recursive search ended in RecursionError
@@ -466,6 +501,32 @@ class TestTable:
 
     def test_ramsey_value_lookup(self):
         assert ramsey_value(5) == TableEntry(14, "external")
+
+    def test_r23_is_computed_when_the_table_has_none(self):
+        assert 2 not in load_ramsey_table()
+        assert ramsey_value(2) == TableEntry(3, "computed")
+        assert ramsey_value(2, {2: TableEntry(3, "external")}) == \
+            TableEntry(3, "external")
+
+    def test_user_computed_claim_is_checked(self, tmp_path):
+        # a true claim loads; a false one, or one for an n the search does
+        # not reach, is refused
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({"values": {
+            "3": {"value": 6, "source": "computed"}, "5": 14}}))
+        assert load_ramsey_table(str(p)) == {3: TableEntry(6, "computed"),
+                                             5: TableEntry(14, "external")}
+        for values, why in [
+                ({"4": {"value": 10, "source": "computed"}},
+                 "R(4,3) value 10 is not the computed value 9"),
+                ({"6": {"value": 18, "source": "computed"}},
+                 'R(6,3) is not computed in-tree; its source must be '
+                 '"external"')]:
+            p.write_text(json.dumps({"values": values}))
+            with pytest.raises(RamseyError) as e:
+                load_ramsey_table(str(p))
+            assert str(e.value) == \
+                f"malformed table file: ValueError({why!r})"
 
     def test_missing_value_names_the_argument(self):
         with pytest.raises(RamseyError, match="14"):
