@@ -18,6 +18,7 @@ import click
 
 from .coloring import (
     certificate_from_json,
+    certificate_doc,
     certificate_to_json,
     coloring_from_json,
     decide_blue_closed_3,
@@ -424,10 +425,8 @@ def cmd_coloring_decide(file: str, n: int, as_json: bool) -> None:
     blue = decide_blue_closed_3(c)
     if as_json:
         _emit({"gamma": str(c.gamma), "n": n,
-               "blue_triple": (json.loads(certificate_to_json(blue))
-                               if blue else None),
-               "red_omega_plus_n": (json.loads(certificate_to_json(red))
-                                    if red else None)})
+               "blue_triple": certificate_doc(blue) if blue else None,
+               "red_omega_plus_n": certificate_doc(red) if red else None})
     else:
         _echo("blue triple: "
               + (certificate_to_json(blue) if blue else "none"))

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .ordinals import (
@@ -38,7 +39,9 @@ from .ramsey import independent_set
 
 RED = 0
 BLUE = 1
-MAX_CLASSES = 1_000  # colorings with more node classes are refused unbuilt
+# colorings with more node classes are refused unbuilt: the deciders' pool
+# pairs and coloring_to_json's cross table grow with the square of the count
+MAX_CLASSES = 1_000
 MAX_N = 1_000  # a red target omega+n with larger n is refused unsearched
 
 Color = int
@@ -58,6 +61,7 @@ __all__ = [
     "check_certificate",
     "coloring_to_json",
     "coloring_from_json",
+    "certificate_doc",
     "certificate_to_json",
     "certificate_from_json",
 ]
@@ -106,14 +110,29 @@ def _point_key(a: Ordinal, b: Ordinal) -> PointPair:
     return (a, b) if a < b else (b, a)
 
 
+def _read_table(table, key_of, names: str) -> dict:
+    """A mapping or a list of (key, color) entries, read once and in order:
+    each key through `key_of`, then its color, then whether the key already
+    has another color."""
+    out: dict = {}
+    for k, col in table.items() if isinstance(table, Mapping) else table or ():
+        key = key_of(k)
+        if type(col) is not int or col not in (RED, BLUE):
+            raise OrdinalError(f"color {_shown(col)} is not 0 or 1")
+        if out.setdefault(key, col) != col:
+            raise OrdinalError(f"conflicting {names} for {key}")
+    return out
+
+
 @dataclass(frozen=True, eq=True)
 class QuotientColoring:
     """A two-coloring of pairs below gamma: class tables plus finite overrides.
 
     `within` maps every valid class to the color of its internal pairs,
-    `cross` maps every unordered pair of distinct valid classes to a color,
-    and `overrides` (finitely many point pairs, stored low-first) wins over
-    both.  Instances are immutable; all procedures on them are pure.
+    `cross` maps each unordered pair of distinct valid classes that is blue
+    (stored low-first; a pair not stored is red), and `overrides` (finitely
+    many point pairs, stored low-first) wins over both.  Instances are
+    immutable; all procedures on them are pure.
     """
 
     gamma: Ordinal
@@ -124,15 +143,18 @@ class QuotientColoring:
     @classmethod
     def build(cls, gamma, within=None, cross=None,
               overrides=None) -> "QuotientColoring":
-        """Normalize and complete the tables; unspecified colors are RED.
+        """Normalize the tables; unspecified colors are RED.
 
         `within` maps class ids to colors, `cross` class pairs (either
-        order) and `overrides` point pairs.  Every value is read here, with
-        exact types: gamma and each point an Ordinal, an expression string
-        or an int; each class a NodeClassId or a list or tuple of two ints;
-        each color the int 0 or 1, checked after every table.  A gamma with
-        more than MAX_CLASSES node classes is refused before any table is
-        built: the cross table grows with the square of that count.
+        order) and `overrides` point pairs; each table is a mapping or a
+        list of (key, color) entries.  Each entry is read once, in order,
+        with exact types: its key (gamma and each point an Ordinal, an
+        expression string or an int; each class a NodeClassId or a list or
+        tuple of two ints), then its color (the int 0 or 1), then whether
+        the key already has another color.  The first fault met is refused.
+        A gamma with more than MAX_CLASSES node classes is refused before
+        any table is read: the deciders' pool and `coloring_to_json` grow
+        with the square of that count.
         """
         g = _as_ordinal(gamma, "gamma")
         if g.is_zero():
@@ -145,44 +167,32 @@ class QuotientColoring:
         classes = valid_classes(g)
         own = set(classes)
 
-        w_in = {_as_class(k): v for k, v in (within or {}).items()}
-        for k in w_in:
+        def class_key(k) -> NodeClassId:
+            k = _as_class(k)
             if k not in own:
                 raise OrdinalError(f"within references invalid class {k}")
-        w = {cid: w_in.get(cid, RED) for cid in classes}
+            return k
 
-        x = dict.fromkeys(combinations(classes, 2), RED)  # low-first
-        given: set[ClassPair] = set()
-        for k, col in (cross or {}).items():
+        def pair_key(k) -> ClassPair:
             a, b = _as_class(k[0]), _as_class(k[1])
             if a == b or a not in own or b not in own:
                 raise OrdinalError(
                     f"cross references invalid pair {(tuple(a), tuple(b))}")
-            key = _class_key(a, b)
-            if key in given and x[key] != col:
-                raise OrdinalError(f"conflicting cross colors for {key}")
-            given.add(key)
-            x[key] = col
+            return _class_key(a, b)
 
-        ov: dict[PointPair, Color] = {}
-        for k, col in (overrides or {}).items():
+        def point_key(k) -> PointPair:
             a, b = _as_ordinal(k[0]), _as_ordinal(k[1])
             if a == b:
                 raise OrdinalError(f"override on a degenerate pair {a}")
             if not (a < g and b < g):
                 raise OrdinalError(f"override pair {a},{b} not below {g}")
-            key = _point_key(a, b)
-            if key in ov and ov[key] != col:
-                raise OrdinalError(f"conflicting overrides for {key}")
-            ov[key] = col
+            return _point_key(a, b)
 
-        # a color given twice may be stored once (1 and True are equal), so
-        # the given tables are read as well as the completed ones
-        for col in chain(w.values(), x.values(), (cross or {}).values(),
-                         (overrides or {}).values()):
-            if type(col) is not int or col not in (RED, BLUE):
-                raise OrdinalError(f"color {_shown(col)} is not 0 or 1")
-        return cls(g, w, x, ov)
+        w = _read_table(within, class_key, "within colors")
+        x = _read_table(cross, pair_key, "cross colors")
+        ov = _read_table(overrides, point_key, "overrides")
+        return cls(g, {cid: w.get(cid, RED) for cid in classes},
+                   {k: col for k, col in x.items() if col == BLUE}, ov)
 
     def touched(self) -> frozenset[Ordinal]:
         """Points that appear in at least one override pair."""
@@ -193,7 +203,9 @@ class QuotientColoring:
         return frozenset(pts)
 
     def class_pair_color(self, a: NodeClassId, b: NodeClassId) -> Color:
-        return self.within[a] if a == b else self.cross[_class_key(a, b)]
+        if a == b:
+            return self.within[a]
+        return self.cross.get(_class_key(a, b), RED)
 
 
 def color_of(c: QuotientColoring, a, b) -> Color:
@@ -485,69 +497,52 @@ def check_certificate(c: QuotientColoring, cert: CopyCertificate) -> bool:
 
 
 def coloring_to_json(c: QuotientColoring) -> str:
+    """The coloring with complete class tables: every class and every class
+    pair, low-first, red ones included."""
+    classes = sorted(c.within)
     doc = {
         "gamma": str(c.gamma),
-        "within": [{"class": [cid.index, cid.level], "color": col}
-                   for cid, col in sorted(c.within.items())],
+        "within": [{"class": [cid.index, cid.level], "color": c.within[cid]}
+                   for cid in classes],
         "cross": [{"a": [a.index, a.level], "b": [b.index, b.level],
-                   "color": col}
-                  for (a, b), col in sorted(c.cross.items())],
+                   "color": c.cross.get((a, b), RED)}
+                  for a, b in combinations(classes, 2)],
         "overrides": [{"a": str(a), "b": str(b), "color": col}
                       for (a, b), col in sorted(c.overrides.items())],
     }
     return json.dumps(doc, indent=2)
 
 
-def _json_table(doc: dict, name: str, key_of, names) -> dict:
-    """The table `name` of a coloring file, a JSON list (empty when absent)
-    whose entries are read once and in order.
-
-    A color must be a JSON integer, so that 1 and true never meet as one
-    key's two colors; build checks its value.  A key given twice must
-    repeat its color; `names(key)` says what the two colors conflict on.
-    A pair written in both orders reaches build as two keys, and build
-    refuses it there with the same message.
-    """
-    entries = doc.get(name, [])
-    if type(entries) is not list:
-        raise OrdinalError(f"table {name} is not a list")
-    table = {}
-    for e in entries:
-        if type(e) is not dict:
-            raise OrdinalError(f"an entry of table {name} is not an object")
-        key, color = key_of(e), e["color"]
-        if type(color) is not int:
-            raise OrdinalError(f"color {_shown(color)} is not 0 or 1")
-        if table.setdefault(key, color) != color:
-            raise OrdinalError(f"conflicting {names(key)}")
-    return table
-
-
 def coloring_from_json(text: str) -> QuotientColoring:
-    """Read a coloring file, refusing contradictions; build reads the values.
+    """Read a coloring file: a JSON object whose tables are JSON lists of
+    objects.  Only gamma and that shape are read here; build reads every
+    entry.
 
-    Each table is a JSON list of objects.  Two colors for one class, class
-    pair or point pair are refused in either entry order, and so is a key
-    given twice in one object (`read_json`).
+    A key given twice in one object is refused by `read_json`.
     """
     doc = read_json(text)
     if type(doc) is not dict:
         raise TypeError("the coloring is not a JSON object")
     gamma = _as_ordinal(doc["gamma"], "gamma")
-    within = _json_table(doc, "within", lambda e: _as_class(e["class"]),
-                         lambda k: f"within colors for {k}")
-    cross = _json_table(
-        doc, "cross", lambda e: (_as_class(e["a"]), _as_class(e["b"])),
-        lambda k: f"cross colors for {_class_key(*k)}")
-    overrides = _json_table(
-        doc, "overrides", lambda e: (_as_ordinal(e["a"]), _as_ordinal(e["b"])),
-        lambda k: f"overrides for {_point_key(*k)}")
-    return QuotientColoring.build(gamma, within=within, cross=cross,
-                                  overrides=overrides)
+
+    def table(name: str, key_of) -> list:
+        entries = doc.get(name, [])
+        if type(entries) is not list:
+            raise OrdinalError(f"table {name} is not a list")
+        if any(type(e) is not dict for e in entries):
+            raise OrdinalError(f"an entry of table {name} is not an object")
+        return [(key_of(e), e["color"]) for e in entries]
+
+    pair = itemgetter("a", "b")
+    return QuotientColoring.build(
+        gamma, within=table("within", itemgetter("class")),
+        cross=table("cross", pair), overrides=table("overrides", pair))
 
 
-def certificate_to_json(cert: CopyCertificate) -> str:
-    doc = {
+def certificate_doc(cert: CopyCertificate) -> dict:
+    """The certificate as a JSON-ready object, as `certificate_to_json`
+    writes it."""
+    return {
         "kind": cert.kind,
         "tail_class": (None if cert.tail_class is None
                        else [cert.tail_class.index, cert.tail_class.level]),
@@ -558,7 +553,10 @@ def certificate_to_json(cert: CopyCertificate) -> str:
         "triangle": (None if cert.triangle is None
                      else [str(x) for x in cert.triangle]),
     }
-    return json.dumps(doc, indent=2)
+
+
+def certificate_to_json(cert: CopyCertificate) -> str:
+    return json.dumps(certificate_doc(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> CopyCertificate:

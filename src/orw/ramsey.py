@@ -496,6 +496,8 @@ def load_ramsey_table(path: Optional[str] = None) -> dict[int, TableEntry]:
 
 def ramsey_value(n: int, table: Optional[dict[int, TableEntry]] = None) -> TableEntry:
     """R(n,3) from the table, the packaged one by default."""
+    if n < 1:
+        raise RamseyError(f"R(n,3) needs n >= 1, got {n}")
     table = load_ramsey_table() if table is None else table
     if n in table:
         return table[n]

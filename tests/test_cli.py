@@ -522,6 +522,13 @@ class TestRamsey:
         r = invoke(runner, ["ramsey", "value", "-n", "20"])
         assert r.exit_code == 2 and "R(20,3)" in r.output
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_value_below_one_refused(self, runner, n):
+        # no table may hold the key "0", so the refusal does not ask for one
+        r = invoke(runner, ["ramsey", "value", "-n", str(n)])
+        assert (r.exit_code, r.stdout, r.stderr) == (
+            2, "", f"error: R(n,3) needs n >= 1, got {n}\n")
+
     def test_brute_human_and_json(self, runner):
         r = invoke(runner, ["ramsey", "brute", "-n", "3"])
         assert "R(3,3) = 6" in r.output
@@ -798,16 +805,19 @@ LOADER_REFUSALS = [
         _pair("0", "1", 1)]}, _malformed(
         "OrdinalParseError('sum too long to print (at position 4302)')"),
         id="override-too-long-to-print"),
-    # every within key is read before any within class is checked
+    # entries are read in order, each whole: a class is checked before
+    # the next entry's key is read
     pytest.param({"gamma": "w*2", "within": [
         {"class": [9, 0], "color": 0}, {"class": ["a", 0], "color": 0}]},
-        _malformed(_NONNUMERIC), id="within-keys-before-classes"),
-    # colors are checked last, after every table
+        _malformed("OrdinalError('within references invalid class "
+                   "NodeClassId(index=9, level=0)')"),
+        id="within-class-before-next-key"),
+    # a color is checked with its entry, before any later table
     pytest.param({"gamma": "w*2",
                   "within": [{"class": [1, 0], "color": 2}],
                   "overrides": [_pair("3", "3", 1)]},
-                 _malformed("OrdinalError('override on a degenerate pair 3')"),
-                 id="colors-after-overrides"),
+                 _malformed("OrdinalError('color 2 is not 0 or 1')"),
+                 id="colors-before-overrides"),
 ]
 
 _CLASS_10 = "NodeClassId(index=1, level=0)"

@@ -207,6 +207,63 @@ class TestBuildAndColorOf:
         assert coloring_to_json(c) == coloring_to_json(
             coloring_from_json(coloring_to_json(c)))
 
+    def test_all_red_stores_no_cross_pair(self):
+        # a pair not stored reads RED; building w+997 once stored about
+        # half a million RED entries
+        c = QuotientColoring.build("w+997")
+        assert len(c.cross) == 0 and len(c.within) == 998
+        classes = valid_classes(c.gamma)
+        assert all(c.class_pair_color(a, b) == RED
+                   for a, b in combinations(classes, 2))
+
+    @pytest.mark.parametrize("n, blue_pairs, sha256", [
+        (3, 34, "962e5b9023277c40f0a11acb7dfe3f3d"
+                "d1cc93b2e7f4488ceef7708c3076d264"),
+        (4, 68, "7ffb401571e449ef8f0dc4468715405a"
+                "7f91973c491bb3b660c407906fdd42a5"),
+        (5, 129, "0b2e1c7fc7d3634eb40a77248d2b97ce"
+                 "5af099ecf17477e9cb6d5438388d11dd"),
+    ], ids=["3", "4", "5"])
+    def test_construction_stores_its_blue_pairs_and_writes_all(
+            self, n, blue_pairs, sha256):
+        # only the blue class pairs are stored (of 120, 276 and 630), but
+        # the file still lists every class pair: these bytes are the base
+        # tables a reader of the complete file (such as perfbench) reads
+        spec = build_partition(n, relabel_red_prefix(builtin_record(n)))
+        c = induced_lower_coloring(build_gn(spec))
+        assert len(c.cross) == blue_pairs
+        assert set(c.cross.values()) == {BLUE}
+        text = coloring_to_json(c)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        assert coloring_from_json(text) == c
+
+    def test_build_reads_a_list_of_entries(self):
+        # a key given twice with one color is one entry, in either order
+        ab, ba = ((1, 0), (2, 0)), ((2, 0), (1, 0))
+        for second in (ab, ba):
+            c = QuotientColoring.build(
+                "w*2", within=[((1, 1), 1), ((1, 1), 1)],
+                cross=[(ab, 1), (second, 1)],
+                overrides=[(("3", "w"), 0), (("w", "3"), 0)])
+            assert c == QuotientColoring.build(
+                "w*2", within={(1, 1): 1}, cross={ab: 1},
+                overrides={("3", "w"): 0})
+
+    @pytest.mark.parametrize("table, entries, message", [
+        ("within", [((1, 1), 1), ((1, 1), 0)],
+         "conflicting within colors for NodeClassId(index=1, level=1)"),
+        ("cross", [(((1, 0), (2, 0)), 0), (((2, 0), (1, 0)), 1)],
+         "conflicting cross colors for (NodeClassId(index=1, level=0), "
+         "NodeClassId(index=2, level=0))"),
+        ("overrides", [(("w", "3"), 1), (("3", "w"), 0)],
+         "conflicting overrides for (Ordinal('3'), Ordinal('w'))"),
+    ], ids=["within", "cross", "overrides"])
+    def test_build_refuses_two_colors_for_one_entry(self, table, entries,
+                                                    message):
+        with pytest.raises(OrdinalError) as info:
+            QuotientColoring.build("w*2", **{table: entries})
+        assert str(info.value) == message
+
 
 # -- blue triangles ----------------------------------------------------------
 
