@@ -30,6 +30,7 @@ __all__ = [
     "ClauseSystem",
     "instantiate_clauses",
     "catalogue_size",
+    "schema_sizes",
     "space_size",
     "MAX_CLAUSES",
     "MAX_VARIABLES",
@@ -228,12 +229,15 @@ def _check_request(n: int, k: int, drop: tuple[str, ...]) -> None:
             raise OrdinalError(f"schema {s!r} dropped twice")
 
 
-def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
-    """The number of clauses `instantiate_clauses(n, k, drop)` builds.
+def schema_sizes(n: int, k: int,
+                 drop: tuple[str, ...] = ()) -> dict[str, int]:
+    """The number of clauses each schema of `instantiate_clauses(n, k,
+    drop)` builds, as its `schema_counts()` gives them: a dropped schema
+    and a schema of no clauses are left out.
 
     Each term counts one schema's loops below.  The space has n squared
     components of three classes and k limit components of two, and
-    sources(k0) yields 2(n-k0)+k classes.  The count is exact, and meant
+    sources(k0) yields 2(n-k0)+k classes.  The counts are exact, and meant
     for spaces within MAX_VARIABLES: C8's comb(n+k, n) takes minutes at a
     square K with n in the millions.
     """
@@ -259,18 +263,20 @@ def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
         "C13": comb(n + k, 3),
         "C14": 2 * n * (n - 1) * (k - 1),
     }
-    return sum(size for s, size in sizes.items() if s not in drop)
+    return {s: size for s, size in sizes.items() if size and s not in drop}
 
 
-def instantiate_clauses(n: int, k: int,
-                        drop: tuple[str, ...] = ()) -> ClauseSystem:
-    """Build the full tagged catalogue C1..C14 (C4/C10 flagged redundant).
+def catalogue_size(n: int, k: int, drop: tuple[str, ...] = ()) -> int:
+    """The number of clauses `instantiate_clauses(n, k, drop)` builds: the
+    sum of `schema_sizes(n, k, drop)`."""
+    return sum(schema_sizes(n, k, drop).values())
 
-    `drop` removes whole schemas, for ablation experiments.  The request is
-    checked before anything is built, cheapest first: the parameters and
-    schema names, then the variable space against MAX_VARIABLES, and only
-    for a space that fits, the exact clause count against MAX_CLAUSES.
-    """
+
+def _check_catalogue(n: int, k: int, drop: tuple[str, ...]) -> None:
+    """Refuse a catalogue request before anything is built, cheapest
+    first: the parameters and schema names, then the variable space
+    against MAX_VARIABLES, and only for a space that fits, the exact
+    clause count against MAX_CLAUSES."""
     _check_request(n, k, drop)
     _check_space(n, k)
     size = catalogue_size(n, k, drop)
@@ -278,8 +284,21 @@ def instantiate_clauses(n: int, k: int,
         raise OrdinalError(
             f"the catalogue at n={n} K={k} has {size} clauses, more than "
             f"the limit of {MAX_CLAUSES}")
+
+
+def instantiate_clauses(n: int, k: int,
+                        drop: tuple[str, ...] = ()) -> ClauseSystem:
+    """Build the full tagged catalogue C1..C14 (C4/C10 flagged redundant).
+
+    `drop` removes whole schemas, for ablation experiments.  The request is
+    checked by `_check_catalogue` before anything is built.  The clauses
+    hold one int object per literal value: a negative literal -v is read
+    from `neg[v]`, not made anew by negation.
+    """
+    _check_catalogue(n, k, drop)
     space = VariableSpace(n, k)
     pos, var, hat = space.pos, space.var, space.hat
+    neg = [-v for v in range(space.num_vars + 1)]  # neg[v] is -v
     base = [None] + [pos[NodeClassId(i, 0)] for i in range(1, n + k + 1)]
     lim = [None] + [pos[space.limit_class(i)] for i in range(1, n + k + 1)]
     clauses: list[tuple[int, ...]] = []
@@ -292,7 +311,7 @@ def instantiate_clauses(n: int, k: int,
         redundant = schema in REDUNDANT_SCHEMAS
         for params, lits in items:
             # a repeated variable is a repeated literal or a complementary
-            # pair; abs refuses a same-component None
+            # pair; abs or neg refuses a same-component None
             if not lits or len(set(map(abs, lits))) != len(lits):
                 raise AssertionError(f"{schema} clause {params}: {lits}")
             clauses.append(lits)
@@ -306,23 +325,24 @@ def instantiate_clauses(n: int, k: int,
 
     # C1: nothing is blue to both lower levels of a squared component
     add("C1", (((s.index, s.level, k0),
-                (-var[p][base[k0]], -var[p][base[k0] + 1]))
+                (neg[var[p][base[k0]]], neg[var[p][base[k0] + 1]]))
                for k0 in range(1, n + 1)
                for p, s in enumerate(space.classes) if s.index != k0))
 
     # C2: no target is blue to both lower levels of another squared component
-    add("C2", (((i, k0, lvl), (-var[base[i]][base[k0] + lvl],
-                               -var[base[i] + 1][base[k0] + lvl]))
+    add("C2", (((i, k0, lvl), (neg[var[base[i]][base[k0] + lvl]],
+                               neg[var[base[i] + 1][base[k0] + lvl]]))
                for i in range(1, n + 1) for k0 in range(1, n + 1) if i != k0
                for lvl in (0, 1, 2)))
 
     # C3: a component top is blue to at most one of its levels
-    add("C3", (((i,), (-hat[i][0], -hat[i][1])) for i in range(1, n + 1)))
+    add("C3", (((i,), (neg[hat[i][0]], neg[hat[i][1]]))
+               for i in range(1, n + 1)))
 
     # C4 (redundant): two sources blue to a common target are not blue
-    add("C4", (((i, m, k0, lvl), (-var[base[m]][base[k0] + lvl],
-                                  -var[base[i]][base[k0] + lvl],
-                                  -var[base[m]][base[i]]))
+    add("C4", (((i, m, k0, lvl), (neg[var[base[m]][base[k0] + lvl]],
+                                  neg[var[base[i]][base[k0] + lvl]],
+                                  neg[var[base[m]][base[i]]]))
                for k0 in range(1, n + 1) for lvl in (0, 1, 2)
                for i, m in combinations(range(n + 1, n + k + 1), 2)))
 
@@ -355,7 +375,8 @@ def instantiate_clauses(n: int, k: int,
     add("C8", c8())
 
     # C9: nothing above is blue to the level the top is blue to
-    add("C9", (((i, j, k0, lvl), (-hat[k0][lvl], -var[p][base[k0] + lvl]))
+    add("C9", (((i, j, k0, lvl),
+                (neg[hat[k0][lvl]], neg[var[p][base[k0] + lvl]]))
                for k0 in range(1, n) for lvl in (0, 1)
                for i, j, p in sources(k0)))
 
@@ -371,10 +392,10 @@ def instantiate_clauses(n: int, k: int,
                 for i in range(k0 + 1, n + 1):
                     r0, r1 = var[base[i]], var[base[i] + 1]
                     a, b = r1[top], r0[low]
-                    yield ("iff-fwd", i, k0, lvl), (g, -a, b)
-                    yield ("iff-bwd", i, k0, lvl), (g, -b, a)
+                    yield ("iff-fwd", i, k0, lvl), (g, neg[a], b)
+                    yield ("iff-bwd", i, k0, lvl), (g, neg[b], a)
                     for name, x in (("c", r1[low]), ("d", r0[top])):
-                        yield ("excl-" + name, i, k0, lvl), (g, -a, -x)
+                        yield ("excl-" + name, i, k0, lvl), (g, neg[a], neg[x])
                         yield ("cover-" + name, i, k0, lvl), (g, a, x)
     add("C10", c10())
 
@@ -383,26 +404,29 @@ def instantiate_clauses(n: int, k: int,
         for i in range(1, n):
             for j in (0, 1, 2):
                 tgt = base[i] + j
-                bases = tuple(-var[base[m]][tgt]
+                bases = tuple(neg[var[base[m]][tgt]]
                               for m in range(n + 1, n + k + 1))
                 for m2 in range(n + 1, n + k):
-                    yield (i, j, m2), bases + (-var[lim[m2]][tgt],)
+                    yield (i, j, m2), bases + (neg[var[lim[m2]][tgt]],)
     add("C11", c11())
 
     # C12: no three classes in distinct components are pairwise blue,
     # and no top/level pair of one component is jointly blue to a third
-    add("C12", (((a, b, c), (-var[pa][pb], -var[pa][pc], -var[pb][pc]))
+    add("C12", (((a, b, c),
+                 (neg[var[pa][pb]], neg[var[pa][pc]], neg[var[pb][pc]]))
                 for (pa, a), (pb, b), (pc, c)
                 in combinations(enumerate(space.classes), 3)
                 if a.index != b.index != c.index != a.index))
     add("C12", ((("mixed", i, j, x),
-                 (-var[lim[i]][p], -var[base[i] + j][p], -hat[i][j]))
+                 (neg[var[lim[i]][p]], neg[var[base[i] + j][p]],
+                  neg[hat[i][j]]))
                 for i in range(1, n + 1) for j in (0, 1)
                 for p, x in enumerate(space.classes) if x.index != i))
 
     # C13: no blue triangle among the component tops
-    add("C13", (((a, b, c), (-var[lim[b]][lim[a]], -var[lim[c]][lim[a]],
-                             -var[lim[c]][lim[b]]))
+    add("C13", (((a, b, c), (neg[var[lim[b]][lim[a]]],
+                             neg[var[lim[c]][lim[a]]],
+                             neg[var[lim[c]][lim[b]]]))
                 for a, b, c in combinations(range(1, n + k + 1), 3)))
 
     # C14: a top blue toward one name of a lower component excludes
@@ -411,12 +435,14 @@ def instantiate_clauses(n: int, k: int,
         for k0 in range(1, n):
             for i in range(k0 + 1, n + 1):
                 for lvl in (0, 1):
-                    g = -hat[k0][1 - lvl]  # active when (k0,lvl) is red
+                    g = neg[hat[k0][1 - lvl]]  # active when (k0,lvl) is red
                     low, top, ri = base[k0] + lvl, lim[k0], var[lim[i]]
                     for m in range(n + 1, n + k):
                         rm = var[lim[m]]
-                        yield ("a", k0, i, lvl, m), (g, -ri[low], -rm[top])
-                        yield ("b", k0, i, lvl, m), (g, -ri[top], -rm[low])
+                        yield (("a", k0, i, lvl, m),
+                               (g, neg[ri[low]], neg[rm[top]]))
+                        yield (("b", k0, i, lvl, m),
+                               (g, neg[ri[top]], neg[rm[low]]))
     add("C14", c14())
 
     return ClauseSystem(space, tuple(clauses), tuple(tags))
@@ -526,14 +552,20 @@ def replay_theorem(n: int, mode: str, budget: int = 10_000_000,
     The full catalogue is not decided again: it contains every core clause,
     so a verified refutation of the core refutes it too, and
     `redundant_status` reads "unsat" exactly when the trace verified.
-    Only the core clauses, the space and the schema counts are kept
-    through the solve and the check; the catalogue's tags are dropped.
+    A negative budget is refused first.  The full catalogue is refused as
+    `instantiate_clauses` would refuse it, but only its core (C4 and C10
+    dropped) is built; its schema counts come from `schema_sizes`.
     """
+    if budget < 0:
+        raise OrdinalError(f"budget must be >= 0, got {budget}")
     k, used = resolve_k(n, mode, table=table)
-    full = instantiate_clauses(n, k, drop=drop)
-    space, schema_counts = full.space, full.schema_counts()
-    clauses = full.select(include_redundant=False).clauses
-    del full
+    drop = tuple(drop)
+    _check_catalogue(n, k, drop)
+    schema_counts = schema_sizes(n, k, drop)
+    core = instantiate_clauses(n, k, drop + tuple(
+        s for s in REDUNDANT_SCHEMAS if s not in drop))
+    space, clauses = core.space, core.clauses
+    del core  # its tags are not read
     res = solve(clauses, space.num_vars, budget=budget)
     trace_verified = None
     redundant_status = None
@@ -547,7 +579,7 @@ def replay_theorem(n: int, mode: str, budget: int = 10_000_000,
         model = model_tables(space, res.model)
     return ReplayReport(
         n=n, mode=mode, k=k, gamma=space.gamma, ramsey_used=used,
-        dropped=tuple(drop), num_vars=space.num_vars,
+        dropped=drop, num_vars=space.num_vars,
         num_clauses=len(clauses), schema_counts=schema_counts,
         status=res.status, nodes=res.nodes, trace_steps=trace_steps,
         trace_verified=trace_verified, redundant_status=redundant_status,

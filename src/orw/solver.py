@@ -25,8 +25,13 @@ input clause, a resolution two earlier steps and a pivot variable.  A
 trace is three packed columns of 4-byte signed integers (left, right,
 pivot; an axiom has right = -1) and the index of its final step, 12 bytes
 a step; a value that does not fit raises instead of wrapping.  The solver
-appends to the columns and the checker reads them as they are.  A deleted
-clause's step stays in the trace, so later steps may still cite it.  An
+appends to the columns, and copies them to their length only after its
+search state is released; the checker reads them as they are.  A deleted
+clause's step stays in the trace, so later steps may still cite it.  The
+per-clause search state is flat columns indexed by clause (Eén &
+Sörensson, "An Extensible SAT-solver", SAT 2003): the two watched
+literals, the trace step and the LBD.  The decision heap drops its stale
+entries once they outnumber the variables.  An
 independent checker derives every clause from what its step cites, as in
 Goldberg & Novikov (DATE 2003), and requires the final one to be empty.
 Satisfiable runs return a total model.  Exceeding the decision budget
@@ -132,13 +137,19 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     step_left = lefts.append
     step_right = steps.right.append
     step_pivot = steps.pivot.append
-    step_at = [-1] * len(cls)  # clause -> its step; -1: not yet cited
-    lbd: dict[int, int] = {}  # live learned clauses, oldest first
+    # columns indexed by clause: its step (-1: not yet cited) and, for a
+    # live learned clause, its LBD (0: an input or deleted clause)
+    num_inputs = len(cls)
+    step_at = array("i", [-1]) * num_inputs
+    lbd = array("i", [0]) * num_inputs
 
     def result(status: str, model: Optional[dict[int, bool]] = None,
                final: int = -1) -> SolveResult:
         trace = None
         if status == "unsat":
+            # release the search state before the columns are copied
+            for held in (cls, watches, w0, w1):
+                held.clear()
             steps.trim()
             trace = Trace(steps, final)
         return SolveResult(status, model, trace, nodes, conflicts, restarts,
@@ -161,17 +172,20 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         level[abs(lit)] = len(trail_lim)
         trail.append(lit)
 
-    # two-literal watching; watches are not repaired on backtrack
-    watch_lits: list[list[int]] = []
+    # two-literal watching; watches are not repaired on backtrack.
+    # w0[ci] and w1[ci] are clause ci's watched literals
+    w0: list[int] = []
+    w1: list[int] = []
     watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
 
     def attach(ci: int) -> None:
         c = cls[ci]
-        pair = [c[0], c[1] if len(c) > 1 else c[0]]
-        watch_lits.append(pair)
-        watches[pair[0]].append(ci)
-        if pair[1] != pair[0]:
-            watches[pair[1]].append(ci)
+        a, b = c[0], c[1] if len(c) > 1 else c[0]
+        w0.append(a)
+        w1.append(b)
+        watches[a].append(ci)
+        if b != a:
+            watches[b].append(ci)
 
     for ci, c in enumerate(cls):
         if not c:
@@ -184,7 +198,8 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         nonlocal qhead
         val = value
         wlists = watches
-        wpairs = watch_lits
+        wa = w0
+        wb = w1
         clist = cls
         tr = trail
         why = reason
@@ -199,8 +214,9 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             end = len(wl)
             while i < end:
                 ci = wl[i]
-                pair = wpairs[ci]
-                other = pair[1] if pair[0] == flit else pair[0]
+                other = wa[ci]
+                if other == flit:
+                    other = wb[ci]
                 if other == flit:
                     qhead = q
                     return ci  # unit clause just falsified
@@ -210,8 +226,8 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
                     continue
                 for lit2 in clist[ci]:
                     if val[lit2] >= 0 and lit2 != other:
-                        pair[0] = other
-                        pair[1] = lit2
+                        wa[ci] = other
+                        wb[ci] = lit2
                         wlists[lit2].append(ci)
                         end -= 1
                         wl[i] = wl[end]
@@ -297,7 +313,9 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
     # Until the first restart, `head` is the lowest variable that may be
     # unassigned.  From then on `heap` holds (-activity, var) entries; an
     # entry is live when `key[var]` still equals its activity, and every
-    # unassigned variable has a live entry.
+    # unassigned variable has a live entry.  At most one entry per
+    # variable is live, and a pop depends only on the live entries, so
+    # the stale ones are dropped once they outnumber the variables.
     head = 1
     heap: Optional[list[tuple[float, int]]] = None
     key: list[Optional[float]] = []
@@ -330,6 +348,9 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         del trail[mark:]
         del trail_lim[bj:]
         qhead = mark
+        if heap is not None and len(heap) > 2 * num_vars:
+            heap[:] = [e for e in heap if key[e[1]] == -e[0]]
+            heapify(heap)
 
     def reduce_db(keep: int) -> None:
         # at level 0: delete the worse half of the learned clauses that are
@@ -337,13 +358,14 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
         # `keep`, by LBD descending, the older first on ties.  A deleted
         # clause's trace step stays, so later steps may still cite it.
         locked = {reason[abs(l)] for l in trail}
-        cands = [ci for ci, g in lbd.items()
-                 if g > 2 and ci != keep and ci not in locked]
+        # a learned clause's index is its age
+        cands = [ci for ci in range(num_inputs, len(cls))
+                 if lbd[ci] > 2 and ci != keep and ci not in locked]
         cands.sort(key=lambda ci: -lbd[ci])  # stable: the older first
         gone = set(cands[:len(cands) // 2])
         for ci in gone:
-            del lbd[ci]
-            cls[ci] = watch_lits[ci] = ()  # never read again
+            lbd[ci] = 0
+            cls[ci] = ()  # never read again
         for wl in watches:
             if wl:
                 wl[:] = [ci for ci in wl if ci not in gone]
@@ -381,7 +403,7 @@ def solve(clauses: Sequence[Sequence[int]], num_vars: int,
             lower.sort(key=lambda l: (-level[abs(l)], abs(l)))
             cls.append(tuple([uip] + lower))
             step_at.append(sid)
-            lbd[ci] = len({level[abs(l)] for l in lower}) + 1  # + uip's
+            lbd.append(len({level[abs(l)] for l in lower}) + 1)  # + uip's
             attach(ci)
             if bj and conflicts >= next_restart:
                 # both watches of the learned clause sit above level 0, so

@@ -410,6 +410,13 @@ class TestUpper:
         assert (r.exit_code, r.stdout) == (2, "")
         assert r.stderr == "error: node budget exhausted after 6 decisions\n"
 
+    def test_negative_budget_refused_before_building(self, runner):
+        # not reported as an exhausted budget after a first decision
+        r = invoke(runner, ["upper", "replay", "-n", "3", "--k", "square",
+                            "--budget", "-1"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == "error: budget must be >= 0, got -1\n"
+
     def test_export_writes_pair(self, runner, tmp_path):
         base = tmp_path / "sys"
         r = invoke(runner, ["upper", "export", "-n", "3", "--k", "ramsey",

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -25,6 +26,7 @@ from orw.replay import (
     first_violated_clause,
     instantiate_clauses,
     replay_theorem,
+    schema_sizes,
     space_size,
 )
 from orw.solver import (
@@ -134,6 +136,28 @@ class TestSolver:
             for col in ("left", "right", "pivot"):
                 assert getattr(a.trace.steps, col) == \
                     getattr(b.trace.steps, col)
+
+    def test_search_is_pinned(self):
+        # every decision of four core solves: the counters, the three trace
+        # columns, the final step and the model.  A change of the solver's
+        # data layout must leave this digest as it is
+        digest = hashlib.sha256()
+        for n, k, drop in ((3, 5, ()), (3, 7, ()), (4, 12, ()),
+                           (4, 12, ("C8",))):
+            core = instantiate_clauses(n, k, drop).select(
+                include_redundant=False)
+            r = solve(core.clauses, core.space.num_vars)
+            t = r.trace
+            digest.update(repr((
+                n, k, drop, r.status, r.nodes, r.conflicts, r.restarts,
+                r.reductions,
+                None if t is None else (t.final, t.steps.left.tolist(),
+                                        t.steps.right.tolist(),
+                                        t.steps.pivot.tolist()),
+                None if r.model is None else sorted(r.model.items()),
+            )).encode())
+        assert digest.hexdigest() == ("837a8c68866b927cd3fb8413d1b0744b"
+                                      "ecb39bef16e30f0ff1d05a0296180f2e")
 
     def test_restarts_on_pigeonhole_7(self):
         # past RESTART_UNIT conflicts the search restarts and decides by
@@ -506,6 +530,20 @@ class TestInstantiation:
                 assert catalogue_size(n, k, drop) == \
                     len(instantiate_clauses(n, k, drop)), (n, k, drop)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_schema_sizes_are_the_schema_counts(self, n):
+        for k in range(2, 10):
+            for drop in ((), ("C8",), ("C4", "C10")):
+                assert schema_sizes(n, k, drop) == \
+                    instantiate_clauses(n, k, drop).schema_counts(), \
+                    (n, k, drop)
+
+    def test_one_int_object_per_literal_value(self):
+        # a catalogue holds each literal value once, however many clauses
+        # cite it
+        lits = [l for c in instantiate_clauses(3, 7).clauses for l in c]
+        assert len({id(l) for l in lits}) == len(set(lits)) < len(lits)
+
     def test_clause_guard_refuses_early_without_exact_count(self):
         # n = 10^6 at square K, with C8 kept or dropped: the variable count
         # is checked first and refuses at once, before the exact
@@ -635,6 +673,24 @@ class TestReplay:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
             replay_theorem(3, "ramsey-K", budget=3)
+
+    def test_negative_budget_refused(self):
+        with pytest.raises(OrdinalError,
+                           match=r"^budget must be >= 0, got -1$"):
+            replay_theorem(3, "ramsey-K", budget=-1)
+
+    def test_replay_peak_is_small(self):
+        # only the core is built, and the solver copies its trace after
+        # its search state is released: about 0.65 MB, against 1.13 MB
+        # when the full catalogue was built and the trace copied on top
+        # of the search
+        tracemalloc.start()
+        try:
+            rep = replay_theorem(3, "ramsey-K")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.status == "unsat" and peak <= 850_000
 
     def test_dropping_spread_schema_gives_model(self):
         # negative control: without C8 the system is satisfiable and the
