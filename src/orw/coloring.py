@@ -16,22 +16,21 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .ordinals import (
+    ZERO,
     NodeClassId,
     Ordinal,
     OrdinalError,
     SizeLimitError,
-    class_size,
     class_count,
     classify,
     is_valid_class,
     node_class,
     on_approach,
     parse,
-    partial_sum,
     read_json,
     valid_classes,
 )
@@ -47,6 +46,7 @@ MAX_N = 1_000  # a red target omega+n with larger n is refused unsearched
 Color = int
 PointPair = tuple[Ordinal, Ordinal]
 ClassPair = tuple[NodeClassId, NodeClassId]
+_terms = attrgetter("terms")  # a sort key: ordinals compare as their terms
 
 __all__ = [
     "RED",
@@ -165,19 +165,33 @@ class QuotientColoring:
                 f"gamma {g} has {count} node classes, more than the limit "
                 f"of {MAX_CLASSES}")
         classes = valid_classes(g)
-        own = set(classes)
+        own = dict(zip(classes, classes))
+
+        def valid(k) -> Optional[NodeClassId]:
+            # a JSON list of two exact ints is looked up whole; any other
+            # shape, or an invalid class, answers None and is read as before
+            if type(k) is list and len(k) == 2:
+                i, j = k
+                if type(i) is int and type(j) is int:
+                    return own.get((i, j))
+            return None
 
         def class_key(k) -> NodeClassId:
-            k = _as_class(k)
-            if k not in own:
-                raise OrdinalError(f"within references invalid class {k}")
-            return k
+            cid = valid(k)
+            if cid is None:
+                cid = _as_class(k)
+                if cid not in own:
+                    raise OrdinalError(f"within references invalid class {cid}")
+            return cid
 
         def pair_key(k) -> ClassPair:
-            a, b = _as_class(k[0]), _as_class(k[1])
-            if a == b or a not in own or b not in own:
-                raise OrdinalError(
-                    f"cross references invalid pair {(tuple(a), tuple(b))}")
+            a = valid(k[0])
+            b = None if a is None else valid(k[1])
+            if b is None or a == b:
+                a, b = _as_class(k[0]), _as_class(k[1])
+                if a == b or a not in own or b not in own:
+                    raise OrdinalError(
+                        f"cross references invalid pair {(tuple(a), tuple(b))}")
             return _class_key(a, b)
 
         def point_key(k) -> PointPair:
@@ -249,48 +263,123 @@ class _Slot(NamedTuple):
     cls: NodeClassId
 
 
-def _slot_color(c: QuotientColoring, s: _Slot, t: _Slot) -> Color:
-    """Color taken by a realization of two slots (fresh points dodge overrides)."""
-    if s.point is not None and t.point is not None:
-        col = c.overrides.get(_point_key(s.point, t.point))
-        if col is not None:
-            return col
-    return c.class_pair_color(s.cls, t.cls)
+def _bases(gamma: Ordinal) -> list[Ordinal]:
+    """The class geometry the deciders read, from one walk of gamma's terms:
+    entry k is partial_sum(gamma, k), k = 0 .. component_count(gamma), so
+    component k lies in (entry k-1, entry k] and its exponent is the cb_rank
+    of entry k."""
+    out, head = [ZERO], ()
+    for exp, coeff in gamma.terms:
+        out += (Ordinal(head + ((exp, k),)) for k in range(1, coeff + 1))
+        head += ((exp, coeff),)
+    return out
 
 
-def _pool(c: QuotientColoring) -> list[_Slot]:
+def _classify(bases: list[Ordinal], p: Ordinal) -> NodeClassId:
+    """classify(gamma, p) read off gamma's component bases (`_bases`): the
+    least k >= 1 with p <= partial_sum(gamma, k), and p's cb_rank."""
+    return NodeClassId(bisect_left(bases, p, 1), p.cb_rank())
+
+
+class _Pool(list):
+    """The search slots (see `_pool`) and, as bitmasks over their positions,
+    the colors among them, all built per call with no memo.
+
+    `points` are the explicit points, sorted, at the first positions, and
+    `fresh` the component index of each class slot after them.  `bases` is
+    the class geometry (`_bases`).  `blue[cid]` masks the slots whose class
+    pair with class cid is blue: the slots of every class joined to cid by
+    a blue cross pair, and cid's own slots when its within color is blue.
+    `forced[x]` holds an overridden point's override bits, red then blue,
+    on the slots of the other points of its overrides.
+    """
+
+    def __init__(self, c: QuotientColoring, named: dict[Ordinal, NodeClassId],
+                 fresh: list[_Slot], bases: list[Ordinal]):
+        self.points = sorted(named, key=_terms)
+        super().__init__([_Slot(p, named[p]) for p in self.points] + fresh)
+        self.fresh = [cid.index for _, cid in fresh]
+        self.bases = bases
+        slots_of = dict.fromkeys(c.within, 0)
+        for i, (_, cid) in enumerate(self):
+            slots_of[cid] |= 1 << i
+        blue = {cid: slots_of[cid] if col == BLUE else 0
+                for cid, col in c.within.items()}
+        for (a, b), col in c.cross.items():
+            if col == BLUE:
+                blue[a] |= slots_of[b]
+                blue[b] |= slots_of[a]
+        self.blue = blue
+        self.forced: dict[Ordinal, list[int]] = {}
+        if c.overrides:
+            at = {p: i for i, p in enumerate(self.points)}
+            for (a, b), col in c.overrides.items():
+                self.forced.setdefault(a, [0, 0])[col] |= 1 << at[b]
+                self.forced.setdefault(b, [0, 0])[col] |= 1 << at[a]
+
+    def blue_to(self, cls: NodeClassId, point: Optional[Ordinal]) -> int:
+        """The slots blue to a point of class cls (None: a fresh point): the
+        class mask with the point's override bits applied, so a fresh or
+        untouched point takes the class mask as it is."""
+        forced = self.forced.get(point)
+        if forced is None:
+            return self.blue[cls]
+        return (self.blue[cls] | forced[BLUE]) & ~forced[RED]
+
+    def red_above(self, p: Ordinal, p_cls: NodeClassId) -> int:
+        """The slots realizable above p and red to p: the explicit points
+        above p, and the class slots of later components and of p's own,
+        which reaches above p unless p is the component's top."""
+        first = bisect_right(self.points, p)
+        own = p_cls.index + (p == self.bases[p_cls.index])
+        start = len(self.points) + bisect_left(self.fresh, own)
+        above = ((1 << len(self.points)) - (1 << first)
+                 | (1 << len(self)) - (1 << start))
+        return above & ~self.blue_to(p_cls, p)
+
+
+def _pool(c: QuotientColoring) -> _Pool:
     """Search slots, from one walk of the classes: one per explicit point
     (override-touched or in a finite class), sorted, then one per infinite
-    class.  Only a touched point outside the finite classes is classified."""
-    named: dict[Ordinal, NodeClassId] = {}
-    fresh: list[_Slot] = []
-    for cid in valid_classes(c.gamma):
-        if class_size(c.gamma, cid) is None:
-            fresh.append(_Slot(None, cid))
-        else:
-            named.update(dict.fromkeys(node_class(c.gamma, cid), cid))
+    class.  A finite class holds its component's top, when that is below
+    gamma, and 0 when it is class (1, 0); only a touched point outside the
+    finite classes is classified, against the component bases."""
+    bases = _bases(c.gamma)
+    exps = [b.cb_rank() for b in bases[1:]]
+    fresh = [_Slot(None, NodeClassId(i, level))
+             for i, exp in enumerate(exps, 1) for level in range(exp)]
+    # the last component's top is gamma itself, not a point below it
+    named = {bases[i]: NodeClassId(i, exp)
+             for i, exp in enumerate(exps[:-1], 1)}
+    if exps[0] == 0:
+        named[ZERO] = NodeClassId(1, 0)
     for p in c.touched() - named.keys():
-        named[p] = classify(c.gamma, p)
-    return [_Slot(p, named[p]) for p in sorted(named)] + fresh
+        named[p] = _classify(bases, p)
+    return _Pool(c, named, fresh, bases)
 
 
 class _Conflicts(dict):
     """The pool's conflict rows for one color, each filled on its first
     read: row i is the mask of the later slots j > i whose pair with slot i
     takes the other color, so a clique of the color is an independent set.
-    `repeat` masks the class slots whose within color is the color: two
-    fresh members of a class take it, so such a slot may fill every pick."""
+    A row is slot i's blue mask (`_Pool.blue_to`), complemented for a blue
+    search, cut to the bits above i.  `repeat` masks the class slots whose
+    within color is the color: two fresh members of a class take it, so
+    such a slot may fill every pick."""
 
-    def __init__(self, c: QuotientColoring, pool: list[_Slot], color: Color):
+    def __init__(self, c: QuotientColoring, pool: _Pool, color: Color):
         super().__init__()
-        self.c, self.pool, self.color = c, pool, color
+        self.pool, self.color = pool, color
+        self.end = 1 << len(pool)
         self.repeat = sum(1 << i for i, s in enumerate(pool)
                           if s.point is None and c.within[s.cls] == color)
 
     def __missing__(self, i: int) -> int:
-        s, pool = self.pool[i], self.pool
-        self[i] = sum(1 << j for j in range(i + 1, len(pool))
-                      if _slot_color(self.c, s, pool[j]) != self.color)
+        s = self.pool[i]
+        other = self.pool.blue_to(s.cls, s.point)
+        if self.color == BLUE:
+            other = ~other
+        self[i] = other & (self.end - (2 << i))
         return self[i]
 
 
@@ -340,8 +429,7 @@ def decide_blue_closed_3(c: QuotientColoring) -> Optional[CopyCertificate]:
     return CopyCertificate(kind="blue-3", triangle=(a, b, d))
 
 
-def _limit_candidates(c: QuotientColoring,
-                      pool: list[_Slot]) -> list[Ordinal]:
+def _limit_candidates(c: QuotientColoring, pool: _Pool) -> list[Ordinal]:
     """Structurally distinct limit-point candidates, finitely many.
 
     Concrete candidates: every explicit point (point slot) of rank >= 1.
@@ -354,7 +442,7 @@ def _limit_candidates(c: QuotientColoring,
     first usable member.
     """
     touched = c.touched()
-    explicit = [s.point for s in pool if s.point is not None]
+    explicit = pool.points
     out = {p for p in explicit if p.cb_rank() >= 1}
     skip = len(touched) + len(explicit) + 3
     bounds: list[Optional[Ordinal]] = [None] + explicit + [None]
@@ -362,8 +450,8 @@ def _limit_candidates(c: QuotientColoring,
         cid = s.cls
         if s.point is not None or cid.level < 1:
             continue
-        first = bisect_right(explicit, partial_sum(c.gamma, cid.index - 1))
-        last = bisect_left(explicit, partial_sum(c.gamma, cid.index))
+        first = bisect_right(explicit, pool.bases[cid.index - 1])
+        last = bisect_left(explicit, pool.bases[cid.index])
         for lo, hi in zip(bounds[first:last + 1], bounds[first + 1:last + 2]):
             for x in islice(node_class(c.gamma, cid, lo), skip):
                 if hi is not None and not x < hi:
@@ -371,7 +459,7 @@ def _limit_candidates(c: QuotientColoring,
                 if x not in touched and x not in out:
                     out.add(x)
                     break
-    return sorted(out)
+    return sorted(out, key=_terms)
 
 
 def decide_red_closed_omega_plus_n(
@@ -388,7 +476,10 @@ def decide_red_closed_omega_plus_n(
     the tail class.  Away from overrides all these colors are class-level
     facts, and fresh points never meet an override, so the finite search is
     exact; the certificate's excluded list removes touched points from the
-    tail.  An n above MAX_N is refused before any search.
+    tail.  The search reads the pool's class masks: the slots above p and
+    red to p are one mask (`_Pool.red_above`), and a tail's usable slots
+    are that mask less the tail class's blue mask.  An n above MAX_N is
+    refused before any search.
     """
     if n < 1:
         raise OrdinalError(f"need n >= 1, got {n}")
@@ -400,24 +491,15 @@ def decide_red_closed_omega_plus_n(
     pool = _pool(c)
     rows = _Conflicts(c, pool, RED)  # shared by every candidate and tail
     for p in _limit_candidates(c, pool):
-        p_cls = classify(c.gamma, p)
-        top_of_component = partial_sum(c.gamma, p_cls.index)
+        p_cls = _classify(pool.bases, p)
         tails = [NodeClassId(p_cls.index, ell) for ell in range(p.cb_rank())]
         tails = [t for t in tails
                  if c.within[t] == RED and c.class_pair_color(t, p_cls) == RED]
         if not tails:
             continue
-        limit = _Slot(p, p_cls)
-        # slots realizable above p and red to p; an infinite class of p's
-        # component reaches above p unless p is the component's top
-        above = [i for i, s in enumerate(pool)
-                 if (p < s.point if s.point is not None
-                     else s.cls.index > p_cls.index
-                     or (s.cls.index == p_cls.index and p != top_of_component))
-                 and _slot_color(c, s, limit) == RED]
+        above = pool.red_above(p, p_cls)
         for tail in tails:
-            usable = sum(1 << i for i in above
-                         if c.class_pair_color(pool[i].cls, tail) == RED)
+            usable = above & ~pool.blue[tail]
             combo = independent_set(rows, usable, n - 1, rows.repeat)
             if combo is None:
                 continue

@@ -35,7 +35,8 @@ entries once they outnumber the variables.  An
 independent checker derives every clause from what its step cites, as in
 Goldberg & Novikov (DATE 2003), and requires the final one to be empty.
 Satisfiable runs return a total model.  Exceeding the decision budget
-raises, keeping resource exhaustion distinct from either answer.
+raises, keeping resource exhaustion distinct from either answer; a
+negative budget is refused before any clause is read.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class SolveResult:
 
 def solve(clauses: Sequence[Sequence[int]], num_vars: int,
           budget: int = 10_000_000) -> SolveResult:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     # a duplicate-free input tuple is shared, not copied
     cls = [c if type(c) is tuple and len(set(c)) == len(c)
            else tuple(dict.fromkeys(c)) for c in clauses]

@@ -127,6 +127,18 @@ def limit_candidates_all_gaps(c, explicit: list[Ordinal]) -> list[Ordinal]:
     return sorted(out)
 
 
+def slot_color(c, s, t) -> int:
+    """The color a realization of two decider search slots takes, read
+    pair by pair: the override of the two points when both slots are
+    points and the pair has one (a fresh point dodges every override),
+    else the color of the two classes."""
+    if s.point is not None and t.point is not None:
+        key = (s.point, t.point) if s.point < t.point else (t.point, s.point)
+        if key in c.overrides:
+            return c.overrides[key]
+    return c.class_pair_color(s.cls, t.cls)
+
+
 def independent_set_oracle(masks, within: int, size: int,
                            repeat: int = 0) -> Optional[tuple[int, ...]]:
     """The lexicographically first pick list of `size` vertices of the mask

@@ -976,6 +976,17 @@ class TestColoring:
         assert doc["blue_triple"] is not None
         assert doc["red_omega_plus_n"] is None
 
+    def test_decide_all_red_bytes_are_pinned(self, runner, tmp_path):
+        # 998 node classes, every pair red: a red closed w+2 at the first
+        # limit candidate, and no blue triangle (the same bytes in CI's
+        # installed console script step)
+        p = tmp_path / "red.json"
+        p.write_text('{"gamma": "w+997"}')
+        r = invoke(runner, ["coloring", "decide", str(p), "-n", "2", "--json"])
+        assert r.exit_code == 1
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "f398e1e5c54cd2d5091a0e114c3c626185c2434861c0901aa0ce2af2d4bb61ba")
+
     def test_check_valid(self, runner, files):
         r = invoke(runner, ["coloring", "check", files["red"],
                             "--certificate", files["cert"]])

@@ -3,16 +3,20 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import orw.coloring
 from orw.coloring import (
+    _Conflicts,
     _limit_candidates,
     _pool,
+    _Slot,
     BLUE,
     MAX_CLASSES,
     RED,
@@ -32,6 +36,7 @@ from orw.ordinals import (
     NodeClassId,
     Ordinal,
     OrdinalError,
+    class_size,
     classify,
     node_class,
     parse as o,
@@ -39,7 +44,7 @@ from orw.ordinals import (
 )
 from orw.ramsey import builtin_record, relabel_red_prefix
 
-from oracles import limit_candidates_all_gaps
+from oracles import limit_candidates_all_gaps, partial_sum_expanded, slot_color
 
 
 def witness_coloring_3() -> QuotientColoring:
@@ -567,18 +572,78 @@ def test_limit_candidates_walk_only_reachable_gaps():
 
 def test_red_decider_fills_conflict_rows_lazily(monkeypatch):
     # at n = 2 the all-red w+997 has its copy at the first limit candidate
-    # and the first slot above it: one pair color per slot to test the
-    # slots against the limit, and no conflict row at all.  Filling every
-    # row up front would read about half a million pair colors.
+    # and the first slot above it, so the search picks one slot and needs
+    # no conflict row at all.  Filling every row up front would fill 999.
     c = QuotientColoring.build("w+997")
-    calls = 0
-    real = orw.coloring._slot_color
+    fills = 0
+    real = _Conflicts.__missing__
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counted(self, i):
+        nonlocal fills
+        fills += 1
+        return real(self, i)
 
-    monkeypatch.setattr(orw.coloring, "_slot_color", counted)
+    monkeypatch.setattr(_Conflicts, "__missing__", counted)
     assert decide_red_closed_omega_plus_n(c, 2) is not None
-    assert calls <= 2 * len(_pool(c))
+    assert fills == 0
+    # the count is live: the blue search fills the rows of the slots it
+    # picks, at most one a slot
+    assert decide_blue_closed_3(c) is None
+    assert 0 < fills <= len(_pool(c))
+
+
+def test_blue_decision_on_all_red_follows_the_classes():
+    # 999 slots, none blue to another: each pick's row empties the
+    # candidates, one integer operation a row (about 0.5 s when each row
+    # read one pair color per slot pair)
+    c = QuotientColoring.build("w+997")
+    start = time.perf_counter()
+    assert decide_blue_closed_3(c) is None
+    assert time.perf_counter() - start < 0.05
+
+
+GAMMAS = ["2", "5", "w", "w+3", "w*2+2", "w^2", "w^2+w*2+2", "w^2*2+1",
+          "w^3+w+1", "w^2*3+w*3+2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=st.sampled_from(GAMMAS), seed=st.integers(0, 2**32 - 1),
+       blue_bias=st.sampled_from([0.1, 0.5, 0.9]),
+       max_overrides=st.integers(0, 8))
+def test_class_mask_rows_match_the_pair_color_oracle(gamma, seed, blue_bias,
+                                                     max_overrides):
+    # every conflict row of both colors, and the red decider's masks at
+    # every limit candidate and tail, read pair by pair through slot_color
+    c = random_coloring(random.Random(seed), gamma, blue_bias, max_overrides)
+    pool = _pool(c)
+    finite = {x for cid in valid_classes(c.gamma)
+              if class_size(c.gamma, cid) is not None
+              for x in node_class(c.gamma, cid)}
+    assert pool.points == sorted(finite | c.touched())
+    assert [s.cls for s in pool] == (
+        [classify(c.gamma, x) for x in pool.points]
+        + [cid for cid in valid_classes(c.gamma)
+           if class_size(c.gamma, cid) is None])
+    slots = range(len(pool))
+    for color in (RED, BLUE):
+        rows = _Conflicts(c, pool, color)
+        for i in slots:
+            assert rows[i] == sum(1 << j for j in slots if j > i and
+                                  slot_color(c, pool[i], pool[j]) != color)
+    for p in _limit_candidates(c, pool):
+        p_cls = classify(c.gamma, p)
+        top = partial_sum_expanded(c.gamma, p_cls.index)
+        limit = _Slot(p, p_cls)
+        above = pool.red_above(p, p_cls)
+        assert above == sum(
+            1 << i for i, s in enumerate(pool)
+            if (p < s.point if s.point is not None
+                else s.cls.index > p_cls.index
+                or (s.cls.index == p_cls.index and p != top))
+            and slot_color(c, s, limit) == RED)
+        for ell in range(p.cb_rank()):
+            tail = NodeClassId(p_cls.index, ell)
+            assert above & ~pool.blue[tail] == sum(
+                1 << i for i in slots
+                if above >> i & 1
+                and c.class_pair_color(pool[i].cls, tail) == RED)

@@ -126,6 +126,18 @@ class TestSolver:
         with pytest.raises(BudgetExceeded):
             solve(cls, nv, budget=5)
 
+    def test_negative_budget_refused_before_any_clause(self):
+        # refused whatever the clauses would give: a decision past the
+        # budget, or an answer found by propagation alone
+        for cls in ([(1, 2), (-1, 2)], [(1,), (-1, 2)]):
+            with pytest.raises(ValueError,
+                               match=r"^budget must be >= 0, got -1$"):
+                solve(cls, 2, budget=-1)
+        # budget 0 is valid: it allows no decision
+        assert solve([(1,), (-1, 2)], 2, budget=0).status == "sat"
+        with pytest.raises(BudgetExceeded):
+            solve([(1, 2), (-1, 2)], 2, budget=0)
+
     def test_deterministic(self):
         # 5 holes end before the first restart, 7 holes restart and reduce
         for holes in (5, 7):
