@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, NamedTuple, Optional
@@ -221,6 +222,11 @@ class QuotientColoring:
             return self.within[a]
         return self.cross.get(_class_key(a, b), RED)
 
+    @cached_property
+    def _search(self) -> "_Pool":
+        """The deciders' search state, built on their first call."""
+        return _Pool(self)
+
 
 def color_of(c: QuotientColoring, a, b) -> Color:
     """Color of the pair {a, b}: override if present, else the class tables."""
@@ -275,34 +281,49 @@ def _bases(gamma: Ordinal) -> list[Ordinal]:
     return out
 
 
-def _classify(bases: list[Ordinal], p: Ordinal) -> NodeClassId:
-    """classify(gamma, p) read off gamma's component bases (`_bases`): the
-    least k >= 1 with p <= partial_sum(gamma, k), and p's cb_rank."""
-    return NodeClassId(bisect_left(bases, p, 1), p.cb_rank())
-
-
 class _Pool(list):
-    """The search slots (see `_pool`) and, as bitmasks over their positions,
-    the colors among them, all built per call with no memo.
-
+    """The deciders' search state, built once per coloring and kept by it
+    (`QuotientColoring._search`); it refers to neither the coloring nor
+    itself, so reference counting frees it with the coloring.  The slots
+    come from one walk of the classes: one per explicit point (override-
+    touched or in a finite class), sorted, then one per infinite class.  A
+    finite class holds its component's top, when that is below gamma, and
+    0 when it is class (1, 0); only a touched point outside the finite
+    classes is classified, against the component bases.
     `points` are the explicit points, sorted, at the first positions, and
     `fresh` the component index of each class slot after them.  `bases` is
     the class geometry (`_bases`).  `blue[cid]` masks the slots whose class
     pair with class cid is blue: the slots of every class joined to cid by
     a blue cross pair, and cid's own slots when its within color is blue.
     `forced[x]` holds an overridden point's override bits, red then blue,
-    on the slots of the other points of its overrides.
+    on the slots of the other points of its overrides.  `rows[color]` are
+    the conflict rows of a color (`_Conflicts`), and `candidates` the red
+    decider's limit candidates (`_limit_candidates`), read on first use.
     """
 
-    def __init__(self, c: QuotientColoring, named: dict[Ordinal, NodeClassId],
-                 fresh: list[_Slot], bases: list[Ordinal]):
+    def __init__(self, c: QuotientColoring):
+        self.gamma, self.touched = c.gamma, c.touched()
+        self.bases = bases = _bases(c.gamma)
+        exps = [b.cb_rank() for b in bases[1:]]
+        fresh = [_Slot(None, NodeClassId(i, level))
+                 for i, exp in enumerate(exps, 1) for level in range(exp)]
+        # the last component's top is gamma itself, not a point below it
+        named = {bases[i]: NodeClassId(i, exp)
+                 for i, exp in enumerate(exps[:-1], 1)}
+        if exps[0] == 0:
+            named[ZERO] = NodeClassId(1, 0)
+        for p in self.touched - named.keys():
+            # the least k >= 1 with p <= partial_sum(gamma, k), and p's rank
+            named[p] = NodeClassId(bisect_left(bases, p, 1), p.cb_rank())
         self.points = sorted(named, key=_terms)
         super().__init__([_Slot(p, named[p]) for p in self.points] + fresh)
         self.fresh = [cid.index for _, cid in fresh]
-        self.bases = bases
         slots_of = dict.fromkeys(c.within, 0)
-        for i, (_, cid) in enumerate(self):
+        repeat = [0, 0]  # per color, the class slots of that within color
+        for i, (p, cid) in enumerate(self):
             slots_of[cid] |= 1 << i
+            if p is None:
+                repeat[c.within[cid]] |= 1 << i
         blue = {cid: slots_of[cid] if col == BLUE else 0
                 for cid, col in c.within.items()}
         for (a, b), col in c.cross.items():
@@ -316,6 +337,13 @@ class _Pool(list):
             for (a, b), col in c.overrides.items():
                 self.forced.setdefault(a, [0, 0])[col] |= 1 << at[b]
                 self.forced.setdefault(b, [0, 0])[col] |= 1 << at[a]
+        masks = [self.blue_to(cid, p) for p, cid in self]
+        self.rows = [_Conflicts(masks, color, repeat[color])
+                     for color in (RED, BLUE)]
+
+    @cached_property
+    def candidates(self) -> list[tuple[Ordinal, NodeClassId]]:
+        return _limit_candidates(self)
 
     def blue_to(self, cls: NodeClassId, point: Optional[Ordinal]) -> int:
         """The slots blue to a point of class cls (None: a fresh point): the
@@ -338,52 +366,29 @@ class _Pool(list):
         return above & ~self.blue_to(p_cls, p)
 
 
-def _pool(c: QuotientColoring) -> _Pool:
-    """Search slots, from one walk of the classes: one per explicit point
-    (override-touched or in a finite class), sorted, then one per infinite
-    class.  A finite class holds its component's top, when that is below
-    gamma, and 0 when it is class (1, 0); only a touched point outside the
-    finite classes is classified, against the component bases."""
-    bases = _bases(c.gamma)
-    exps = [b.cb_rank() for b in bases[1:]]
-    fresh = [_Slot(None, NodeClassId(i, level))
-             for i, exp in enumerate(exps, 1) for level in range(exp)]
-    # the last component's top is gamma itself, not a point below it
-    named = {bases[i]: NodeClassId(i, exp)
-             for i, exp in enumerate(exps[:-1], 1)}
-    if exps[0] == 0:
-        named[ZERO] = NodeClassId(1, 0)
-    for p in c.touched() - named.keys():
-        named[p] = _classify(bases, p)
-    return _Pool(c, named, fresh, bases)
-
-
 class _Conflicts(dict):
-    """The pool's conflict rows for one color, each filled on its first
-    read: row i is the mask of the later slots j > i whose pair with slot i
-    takes the other color, so a clique of the color is an independent set.
-    A row is slot i's blue mask (`_Pool.blue_to`), complemented for a blue
-    search, cut to the bits above i.  `repeat` masks the class slots whose
-    within color is the color: two fresh members of a class take it, so
-    such a slot may fill every pick."""
+    """A pool's conflict rows for one color, each filled on its first read:
+    row i is the mask of the later slots j > i whose pair with slot i takes
+    the other color, so a clique of the color is an independent set.  A
+    row is slot i's blue mask (`masks[i]`, `_Pool.blue_to` of the slot),
+    complemented for a blue search, cut to the bits above i.  `repeat`
+    masks the class slots whose within color is the color: two fresh
+    members of a class take it, so such a slot may fill every pick."""
 
-    def __init__(self, c: QuotientColoring, pool: _Pool, color: Color):
+    def __init__(self, masks: list[int], color: Color, repeat: int):
         super().__init__()
-        self.pool, self.color = pool, color
-        self.end = 1 << len(pool)
-        self.repeat = sum(1 << i for i, s in enumerate(pool)
-                          if s.point is None and c.within[s.cls] == color)
+        self.masks, self.color, self.repeat = masks, color, repeat
+        self.end = 1 << len(masks)
 
     def __missing__(self, i: int) -> int:
-        s = self.pool[i]
-        other = self.pool.blue_to(s.cls, s.point)
+        other = self.masks[i]
         if self.color == BLUE:
             other = ~other
         self[i] = other & (self.end - (2 << i))
         return self[i]
 
 
-def _materialize(c: QuotientColoring, slots: list[_Slot],
+def _materialize(pool: _Pool, slots: list[_Slot],
                  above: Optional[Ordinal] = None) -> list[Ordinal]:
     """Realize slots as distinct points; fresh points avoid all touched ones.
 
@@ -391,8 +396,7 @@ def _materialize(c: QuotientColoring, slots: list[_Slot],
     first members (above `above`, when given) that no override and no point
     slot uses, in order.
     """
-    banned = set(c.touched())
-    banned.update(s.point for s in slots if s.point is not None)
+    banned = pool.touched.union(s.point for s in slots if s.point is not None)
     walks: dict[NodeClassId, Iterator[Ordinal]] = {}
     chosen: list[Ordinal] = []
     for s in slots:
@@ -400,7 +404,7 @@ def _materialize(c: QuotientColoring, slots: list[_Slot],
             chosen.append(s.point)
             continue
         if s.cls not in walks:
-            walks[s.cls] = node_class(c.gamma, s.cls, above)
+            walks[s.cls] = node_class(pool.gamma, s.cls, above)
         x = next((x for x in walks[s.cls] if x not in banned), None)
         if x is None:
             raise OrdinalError(f"could not realize a fresh member of {s.cls}")
@@ -419,18 +423,18 @@ def decide_blue_closed_3(c: QuotientColoring) -> Optional[CopyCertificate]:
     pool triple with the same pairwise colors, and every passing pool triple
     is realizable, so the search is exact.
     """
-    pool = _pool(c)
-    rows = _Conflicts(c, pool, BLUE)
+    pool = c._search
+    rows = pool.rows[BLUE]
     found = independent_set(rows, (1 << len(pool)) - 1, 3, rows.repeat)
     if found is None:
         return None
-    points = _materialize(c, [pool[i] for i in found])
-    a, b, d = sorted(points)
+    a, b, d = sorted(_materialize(pool, [pool[i] for i in found]))
     return CopyCertificate(kind="blue-3", triangle=(a, b, d))
 
 
-def _limit_candidates(c: QuotientColoring, pool: _Pool) -> list[Ordinal]:
-    """Structurally distinct limit-point candidates, finitely many.
+def _limit_candidates(pool: _Pool) -> list[tuple[Ordinal, NodeClassId]]:
+    """Structurally distinct limit-point candidates, finitely many, in
+    order, each with its class: a point slot's, or the one it was walked in.
 
     Concrete candidates: every explicit point (point slot) of rank >= 1.
     Fresh candidates: for each infinite class (class slot) of level >= 1,
@@ -441,25 +445,23 @@ def _limit_candidates(c: QuotientColoring, pool: _Pool) -> list[Ordinal]:
     so only the gaps that meet that interval are walked, each up to its
     first usable member.
     """
-    touched = c.touched()
     explicit = pool.points
-    out = {p for p in explicit if p.cb_rank() >= 1}
-    skip = len(touched) + len(explicit) + 3
+    out = {p: cid for p, cid in pool if p is not None and p.cb_rank() >= 1}
+    skip = len(pool.touched) + len(explicit) + 3
     bounds: list[Optional[Ordinal]] = [None] + explicit + [None]
-    for s in pool:
-        cid = s.cls
-        if s.point is not None or cid.level < 1:
+    for p, cid in pool:
+        if p is not None or cid.level < 1:
             continue
         first = bisect_right(explicit, pool.bases[cid.index - 1])
         last = bisect_left(explicit, pool.bases[cid.index])
         for lo, hi in zip(bounds[first:last + 1], bounds[first + 1:last + 2]):
-            for x in islice(node_class(c.gamma, cid, lo), skip):
+            for x in islice(node_class(pool.gamma, cid, lo), skip):
                 if hi is not None and not x < hi:
                     break
-                if x not in touched and x not in out:
-                    out.add(x)
+                if x not in pool.touched and x not in out:
+                    out[x] = cid
                     break
-    return sorted(out, key=_terms)
+    return sorted(out.items(), key=lambda candidate: candidate[0].terms)
 
 
 def decide_red_closed_omega_plus_n(
@@ -478,8 +480,8 @@ def decide_red_closed_omega_plus_n(
     exact; the certificate's excluded list removes touched points from the
     tail.  The search reads the pool's class masks: the slots above p and
     red to p are one mask (`_Pool.red_above`), and a tail's usable slots
-    are that mask less the tail class's blue mask.  An n above MAX_N is
-    refused before any search.
+    are that mask less the tail class's blue mask; the pool, its red rows
+    and its candidates serve every n.  An n above MAX_N is refused first.
     """
     if n < 1:
         raise OrdinalError(f"need n >= 1, got {n}")
@@ -487,11 +489,9 @@ def decide_red_closed_omega_plus_n(
         raise SizeLimitError(
             f"n={n} is more than the limit of {MAX_N} for a red closed "
             "omega+n")
-    touched = c.touched()
-    pool = _pool(c)
-    rows = _Conflicts(c, pool, RED)  # shared by every candidate and tail
-    for p in _limit_candidates(c, pool):
-        p_cls = _classify(pool.bases, p)
+    pool = c._search
+    rows = pool.rows[RED]
+    for p, p_cls in pool.candidates:
         tails = [NodeClassId(p_cls.index, ell) for ell in range(p.cb_rank())]
         tails = [t for t in tails
                  if c.within[t] == RED and c.class_pair_color(t, p_cls) == RED]
@@ -503,12 +503,12 @@ def decide_red_closed_omega_plus_n(
             combo = independent_set(rows, usable, n - 1, rows.repeat)
             if combo is None:
                 continue
-            tops = _materialize(c, [pool[i] for i in combo], above=p)
+            tops = _materialize(pool, [pool[i] for i in combo], above=p)
             return CopyCertificate(
                 kind="red-omega-plus-n",
                 tail_class=tail,
                 limit_point=p,
-                excluded=tuple(sorted(touched)),
+                excluded=tuple(sorted(pool.touched)),
                 top_points=tuple(sorted(tops)),
             )
     return None

@@ -111,7 +111,6 @@ class GnGraph:
 
     spec: VertexClassSpec
     strata: Mapping[str, frozenset[tuple[str, str]]]
-    w_vertices: tuple[str, ...]
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -155,7 +154,7 @@ def build_gn(spec: VertexClassSpec) -> GnGraph:
     for s, t in combinations(groups, 2):
         if s & t:
             raise OrdinalError(f"edge strata overlap: {sorted(s & t)}")
-    return GnGraph(spec, strata, w)
+    return GnGraph(spec, strata)
 
 
 def check_triangle_free(g: GnGraph):

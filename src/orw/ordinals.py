@@ -3,10 +3,10 @@
 An ordinal is kept in Cantor normal form as a tuple of (exponent, coefficient)
 terms, highest exponent first.  On top of the arithmetic this module provides
 the last-term reading cb_rank, the component index cnf_index, the (index,
-level) node-class partition with exact class sizes, and what the deciders
-read of a class: `node_class`, an iterator over a class's members in
-increasing order (optionally only those above a bound), and `on_approach`,
-the membership test of an approach sequence toward a limit point.
+level) node-class partition, and what the deciders read of a class:
+`node_class`, an iterator over a class's members in increasing order
+(optionally only those above a bound), and `on_approach`, the membership
+test of an approach sequence toward a limit point.
 """
 
 from __future__ import annotations
@@ -14,6 +14,13 @@ from __future__ import annotations
 import json
 from itertools import chain, count
 from typing import Iterator, NamedTuple, Optional
+
+__all__ = [
+    "OrdinalError", "SizeLimitError", "OrdinalParseError", "Ordinal", "ZERO",
+    "ONE", "NodeClassId", "read_json", "parse", "component_count",
+    "partial_sum", "cnf_index", "classify", "is_valid_class", "valid_classes",
+    "class_count", "node_class", "on_approach",
+]
 
 
 class OrdinalError(ValueError):
@@ -174,7 +181,6 @@ class Ordinal:
 
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
-OMEGA = Ordinal.omega_power(1)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -361,20 +367,6 @@ def class_count(gamma: Ordinal) -> int:
     """
     total = sum(coeff * (exp + 1) for exp, coeff in gamma.terms)
     return total if gamma.is_zero() or gamma == ONE else total - 1
-
-
-def class_size(gamma: Ordinal, cid: NodeClassId) -> Optional[int]:
-    """Exact size of a class, with None meaning infinite."""
-    if not is_valid_class(gamma, cid):
-        raise OrdinalError(f"invalid class {cid} for {gamma}")
-    i, j = cid.index, cid.level
-    if j < _component_exp(gamma, i):
-        return None
-    # j equals the component exponent: the single top point, plus 0 for (1,0)
-    bonus = 1 if (i == 1 and j == 0) else 0
-    if i == component_count(gamma):
-        return bonus  # top point is gamma itself, excluded
-    return 1 + bonus
 
 
 def node_class(gamma: Ordinal, cid: NodeClassId,

@@ -18,7 +18,6 @@ from orw.ordinals import (
     ZERO,
     NodeClassId,
     Ordinal,
-    class_size,
     node_class,
     valid_classes,
 )
@@ -115,7 +114,7 @@ def limit_candidates_all_gaps(c, explicit: list[Ordinal]) -> list[Ordinal]:
     skip = len(touched) + len(explicit) + 3
     bounds: list[Optional[Ordinal]] = [None] + list(explicit) + [None]
     for cid in valid_classes(c.gamma):
-        if cid.level < 1 or class_size(c.gamma, cid) is not None:
+        if cid.level < 1 or class_size_expanded(c.gamma, cid) is not None:
             continue
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             for x in list(islice(node_class(c.gamma, cid, lo), skip)):

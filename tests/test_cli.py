@@ -191,6 +191,18 @@ class TestLower:
         assert doc["passed"] is True
         assert doc["gamma"] == "w^2*3+w*3+2"
 
+    @pytest.mark.parametrize("n,digest", [
+        (3, "ec25b5facf5c3ce8bcb329b7514ed367bbba52ec427776c90fb3602a75643d07"),
+        (4, "ffe43aadae262da67b157aa4b034676c328f806a4aa97ff752661313c55f3694"),
+        (5, "489de21a7621376a54306279983f568f8ebcdc925380e1c5f8c99a9b5bfd5980"),
+    ])
+    def test_lower_json_bytes_are_pinned(self, runner, n, digest):
+        # the report carries the control stage's red certificate at n - 1,
+        # so these bytes pin which copy the red decider finds first
+        r = invoke(runner, ["lower", "verify", "-n", str(n), "--json"])
+        assert r.exit_code == 0
+        assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
+
     def test_witness_file_and_dot(self, runner, tmp_path):
         wit = tmp_path / "w.json"
         wit.write_text(witness_to_json(builtin_record(3)))

@@ -1,24 +1,30 @@
 """Tests for the class-table coloring model and its decision procedures."""
 
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orw.coloring
+from orw.cli import main
 from orw.coloring import (
     _Conflicts,
     _limit_candidates,
-    _pool,
+    _Pool,
     _Slot,
     BLUE,
     MAX_CLASSES,
+    MAX_N,
     RED,
     CopyCertificate,
     QuotientColoring,
@@ -31,12 +37,13 @@ from orw.coloring import (
     decide_blue_closed_3,
     decide_red_closed_omega_plus_n,
 )
-from orw.lowerbound import build_gn, build_partition, induced_lower_coloring
+from orw.lowerbound import (build_gn, build_partition, induced_lower_coloring,
+                            verify_lower_bound)
 from orw.ordinals import (
     NodeClassId,
     Ordinal,
     OrdinalError,
-    class_size,
+    SizeLimitError,
     classify,
     node_class,
     parse as o,
@@ -44,7 +51,8 @@ from orw.ordinals import (
 )
 from orw.ramsey import builtin_record, relabel_red_prefix
 
-from oracles import limit_candidates_all_gaps, partial_sum_expanded, slot_color
+from oracles import (class_size_expanded, limit_candidates_all_gaps,
+                     partial_sum_expanded, slot_color)
 
 
 def witness_coloring_3() -> QuotientColoring:
@@ -562,9 +570,9 @@ def test_limit_candidates_walk_only_reachable_gaps():
     # at its first usable member, leaves the candidate list unchanged
     fresh = 0
     for c in pinned_family():
-        pool = _pool(c)
+        pool = _Pool(c)
         explicit = [s.point for s in pool if s.point is not None]
-        got = _limit_candidates(c, pool)
+        got = [p for p, _ in _limit_candidates(pool)]
         assert got == limit_candidates_all_gaps(c, explicit), c.gamma
         fresh += len(set(got) - set(explicit))
     assert fresh > 100
@@ -589,7 +597,7 @@ def test_red_decider_fills_conflict_rows_lazily(monkeypatch):
     # the count is live: the blue search fills the rows of the slots it
     # picks, at most one a slot
     assert decide_blue_closed_3(c) is None
-    assert 0 < fills <= len(_pool(c))
+    assert 0 < fills <= len(_Pool(c))
 
 
 def test_blue_decision_on_all_red_follows_the_classes():
@@ -600,6 +608,66 @@ def test_blue_decision_on_all_red_follows_the_classes():
     start = time.perf_counter()
     assert decide_blue_closed_3(c) is None
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of search pools built and of limit-candidate enumerations."""
+    counts = {"pools": 0, "candidates": 0}
+    real_init, real_candidates = _Pool.__init__, _limit_candidates
+
+    def init(self, c):
+        counts["pools"] += 1
+        real_init(self, c)
+
+    def candidates(pool):
+        counts["candidates"] += 1
+        return real_candidates(pool)
+
+    monkeypatch.setattr(_Pool, "__init__", init)
+    monkeypatch.setattr(orw.coloring, "_limit_candidates", candidates)
+    return counts
+
+
+def test_coloring_decide_builds_one_pool(builds, tmp_path):
+    # the red decider at n and the blue decider read one pool
+    path = tmp_path / "c.json"
+    path.write_text(coloring_to_json(witness_coloring_3()))
+    r = CliRunner().invoke(main, ["coloring", "decide", str(path), "-n", "3",
+                                  "--json"], catch_exceptions=False)
+    assert r.exit_code == 0
+    assert builds == {"pools": 1, "candidates": 1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lower_verify_builds_one_pool(builds, n):
+    # the blue decider, the red one at n and its control at n - 1 share one
+    # pool, and the two red calls one candidate list
+    assert verify_lower_bound(n).passed
+    assert builds == {"pools": 1, "candidates": 1}
+
+
+def test_refused_n_builds_no_pool(builds):
+    c = witness_coloring_3()
+    with pytest.raises(SizeLimitError):
+        decide_red_closed_omega_plus_n(c, MAX_N + 1)
+    assert builds == {"pools": 0, "candidates": 0}
+
+
+def test_pool_is_freed_with_its_coloring():
+    # the pool, its rows and its candidates hold no reference back to the
+    # coloring or to themselves, so reference counting alone frees them
+    c = witness_coloring_3()
+    assert decide_blue_closed_3(c) is None
+    assert decide_red_closed_omega_plus_n(c, 3) is None
+    pool = weakref.ref(c._search)
+    assert pool().candidates and pool().rows[RED] and pool().rows[BLUE]
+    gc.disable()
+    try:
+        del c
+        assert pool() is None
+    finally:
+        gc.enable()
 
 
 GAMMAS = ["2", "5", "w", "w+3", "w*2+2", "w^2", "w^2+w*2+2", "w^2*2+1",
@@ -615,23 +683,23 @@ def test_class_mask_rows_match_the_pair_color_oracle(gamma, seed, blue_bias,
     # every conflict row of both colors, and the red decider's masks at
     # every limit candidate and tail, read pair by pair through slot_color
     c = random_coloring(random.Random(seed), gamma, blue_bias, max_overrides)
-    pool = _pool(c)
+    pool = _Pool(c)
     finite = {x for cid in valid_classes(c.gamma)
-              if class_size(c.gamma, cid) is not None
+              if class_size_expanded(c.gamma, cid) is not None
               for x in node_class(c.gamma, cid)}
     assert pool.points == sorted(finite | c.touched())
     assert [s.cls for s in pool] == (
         [classify(c.gamma, x) for x in pool.points]
         + [cid for cid in valid_classes(c.gamma)
-           if class_size(c.gamma, cid) is None])
+           if class_size_expanded(c.gamma, cid) is None])
     slots = range(len(pool))
     for color in (RED, BLUE):
-        rows = _Conflicts(c, pool, color)
+        rows = pool.rows[color]
         for i in slots:
             assert rows[i] == sum(1 << j for j in slots if j > i and
                                   slot_color(c, pool[i], pool[j]) != color)
-    for p in _limit_candidates(c, pool):
-        p_cls = classify(c.gamma, p)
+    for p, p_cls in _limit_candidates(pool):
+        assert p_cls == classify(c.gamma, p)
         top = partial_sum_expanded(c.gamma, p_cls.index)
         limit = _Slot(p, p_cls)
         above = pool.red_above(p, p_cls)

@@ -130,7 +130,7 @@ class TestGraph:
         spec, g, _ = pipeline(3)
         strata = dict(g.strata)
         strata["E1"] = frozenset(set(strata["E1"]) | {("A1", "L1")})
-        bad = GnGraph(spec, strata, g.w_vertices)
+        bad = GnGraph(spec, strata)
         ok, tri = check_triangle_free(bad)
         assert not ok
         a, b, c = tri
@@ -141,7 +141,7 @@ class TestGraph:
         spec, g, _ = pipeline(3)
         strata = dict(g.strata)
         strata["E1"] = frozenset(set(strata["E1"]) | {("A1", "L1")})
-        bad = GnGraph(spec, strata, g.w_vertices)
+        bad = GnGraph(spec, strata)
         assert check_triangle_free(bad) == (False, ("A1", "B1", "L1"))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -167,7 +167,8 @@ class TestGraph:
         # C_{n+K} keeps no pendant edge; its limit joins the hub W instead
         _, g, _ = pipeline(3)
         assert ("C6", "L6") not in g.edges
-        assert "L6" in g.w_vertices and "C6" in g.w_vertices
+        w = {x for _, x in g.strata["E4"]}  # every E4 pair is (A_i, x)
+        assert "L6" in w and "C6" in w
 
     def test_dot_export(self):
         _, g, _ = pipeline(3)
@@ -279,7 +280,7 @@ class TestSabotage:
         victim = sorted(g.strata["E3"])[0]
         strata = dict(g.strata)
         strata["E3"] = frozenset(set(strata["E3"]) - {victim})
-        broken = induced_lower_coloring(GnGraph(spec, strata, g.w_vertices))
+        broken = induced_lower_coloring(GnGraph(spec, strata))
         cert = decide_red_closed_omega_plus_n(broken, 3)
         assert cert is not None
         # the omega-limits of the two no-longer-adjacent blocks top the copy

@@ -15,7 +15,6 @@ from oracles import (
     valid_classes_expanded,
 )
 from orw.ordinals import (
-    OMEGA,
     ONE,
     ZERO,
     NodeClassId,
@@ -23,7 +22,6 @@ from orw.ordinals import (
     OrdinalError,
     OrdinalParseError,
     class_count,
-    class_size,
     classify,
     cnf_index,
     component_count,
@@ -111,8 +109,9 @@ def test_add_examples():
     assert o("w*5") + o("w^2") == o("w^2")
     assert o("w^2*2") + o("w*3+1") == o("w^2*2+w*3+1")
     assert ZERO + o("w^2") == o("w^2")
-    assert Ordinal.from_int(1) + OMEGA == OMEGA
-    assert OMEGA + Ordinal.from_int(1) == o("w+1")
+    omega = Ordinal.omega_power(1)
+    assert Ordinal.from_int(1) + omega == omega
+    assert omega + Ordinal.from_int(1) == o("w+1")
 
 
 @given(ordinals(), ordinals(), ordinals())
@@ -193,27 +192,27 @@ def test_classify_examples():
     assert classify(g, o("w^2*2")) == NodeClassId(2, 2)
     assert classify(g, ZERO) == NodeClassId(1, 0)
     assert classify(g, o("w^2*3+w*3+1")) == NodeClassId(7, 0)
-    assert class_size(g, NodeClassId(7, 0)) == 1
+    assert list(node_class(g, NodeClassId(7, 0))) == [o("w^2*3+w*3+1")]
     with pytest.raises(OrdinalError):
         classify(g, g)
 
 
 def test_class_membership_and_sizes():
     g = o("w^2*3+w*3+2")
-    # infinite class
-    assert class_size(g, NodeClassId(1, 0)) is None
+    # infinite class: the walk goes on past any count
+    assert first(g, NodeClassId(1, 0), 100)[-1] == o("99")
     assert first(g, NodeClassId(1, 0), 3) == [ZERO, o("1"), o("2")]
-    assert class_size(g, NodeClassId(2, 1)) is None
+    assert first(g, NodeClassId(2, 1), 100)[-1] == o("w^2+w*100")
     assert first(g, NodeClassId(2, 1), 2) == [o("w^2+w"), o("w^2+w*2")]
     # singleton classes at the component exponent
-    assert class_size(g, NodeClassId(1, 2)) == 1
+    assert list(node_class(g, NodeClassId(1, 2))) == [o("w^2")]
     assert first(g, NodeClassId(1, 2), 2) == [o("w^2")]
-    assert class_size(g, NodeClassId(4, 1)) == 1
+    assert list(node_class(g, NodeClassId(4, 1))) == [o("w^2*3+w")]
     assert first(g, NodeClassId(4, 1), 2) == [o("w^2*3+w")]
     # top class is empty, hence invalid
     assert not is_valid_class(g, NodeClassId(8, 0))
     with pytest.raises(OrdinalError):
-        class_size(g, NodeClassId(8, 0))
+        node_class(g, NodeClassId(8, 0))
     with pytest.raises(OrdinalError):
         node_class(g, NodeClassId(2, 3))
 
@@ -223,26 +222,26 @@ def test_named_partition_display():
     n, K = 3, 7
     g = o(f"w^2*{n}+w*{K}+1")
     cid = NodeClassId(n + K, 1)
-    assert class_size(g, cid) == 1
+    assert list(node_class(g, cid)) == [o(f"w^2*{n}+w*{K}")]
     assert first(g, cid, 2) == [o(f"w^2*{n}+w*{K}")]
     assert not is_valid_class(g, NodeClassId(n + K + 1, 0))
 
 
 def test_class_of_pure_power():
     g = o("w^2")
-    assert class_size(g, NodeClassId(1, 1)) is None
+    assert first(g, NodeClassId(1, 1), 100)[-1] == o("w*100")
     assert first(g, NodeClassId(1, 1), 3) == [o("w"), o("w*2"), o("w*3")]
     assert not is_valid_class(g, NodeClassId(1, 2))
 
 
 def test_degenerate_gammas():
     assert valid_classes(ONE) == [NodeClassId(1, 0)]
-    assert class_size(ONE, NodeClassId(1, 0)) == 1
+    assert list(node_class(ONE, NodeClassId(1, 0))) == [ZERO]
     assert first(ONE, NodeClassId(1, 0), 2) == [ZERO]
     g = o("3")
-    assert class_size(g, NodeClassId(1, 0)) == 2
+    assert list(node_class(g, NodeClassId(1, 0))) == [ZERO, ONE]
     assert first(g, NodeClassId(1, 0), 3) == [ZERO, ONE]
-    assert class_size(g, NodeClassId(2, 0)) == 1
+    assert list(node_class(g, NodeClassId(2, 0))) == [o("2")]
     assert not is_valid_class(g, NodeClassId(3, 0))
 
 
@@ -268,11 +267,13 @@ def test_valid_classes_census():
     # 3 components of exponent 2 (3 levels each), 3 of exponent 1 (2 each),
     # 2 of exponent 0 (1 each) minus the empty top class
     assert len(cls) == 3 * 3 + 3 * 2 + 2 - 1
-    sizes = {c: class_size(g, c) for c in cls}
-    assert sizes[NodeClassId(3, 2)] == 1
-    assert sizes[NodeClassId(6, 1)] == 1
-    assert sizes[NodeClassId(7, 0)] == 1
-    assert sum(1 for s in sizes.values() if s is None) == 3 * 2 + 3 * 1
+    # no finite class here has more than one member: a walk that reaches a
+    # second member is an infinite class's
+    walks = {c: first(g, c, 2) for c in cls}
+    assert walks[NodeClassId(3, 2)] == [o("w^2*3")]
+    assert walks[NodeClassId(6, 1)] == [o("w^2*3+w*3")]
+    assert walks[NodeClassId(7, 0)] == [o("w^2*3+w*3+1")]
+    assert sum(1 for w in walks.values() if len(w) == 2) == 3 * 2 + 3 * 1
 
 
 def test_closed_forms_match_the_expansion():
@@ -299,8 +300,10 @@ def test_closed_forms_match_the_expansion():
                 assert is_valid_class(gamma, cid) == \
                     is_valid_class_expanded(gamma, cid), (gamma, cid)
                 if is_valid_class_expanded(gamma, cid):
-                    assert class_size(gamma, cid) == \
-                        class_size_expanded(gamma, cid), (gamma, cid)
+                    # a finite class has at most two members
+                    size = class_size_expanded(gamma, cid)
+                    assert len(first(gamma, cid, 3)) == \
+                        (3 if size is None else size), (gamma, cid)
         if gamma.is_zero():
             continue
         alphas = set(sums) | {s + ONE for s in sums[:-1]}
